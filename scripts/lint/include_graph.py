@@ -56,7 +56,7 @@ net: common
 
 # Simulation kernel and the paper's model layers.
 des: common obs
-trust: common obs des
+trust: common obs
 grid: common obs trust
 sched: common obs grid trust
 workload: common obs grid sched trust
@@ -68,10 +68,9 @@ econ: common obs grid sched trust
 # The scenario/experiment layer composes every model layer.
 sim: common obs des net trust grid sched workload chaos econ
 
-# Above-sim campaign drivers.
-chaos_campaign: common obs des sched trust workload chaos sim
-econ_campaign: common obs des grid sched trust workload chaos \
-econ sim
+# Above-sim campaign drivers: two stages each over sim's campaign loop.
+chaos_campaign: obs trust chaos sim
+econ_campaign: common obs sched econ sim
 
 # The sweep engine and CLI sit on top of everything.
 lab: common obs sched sim chaos chaos_campaign econ \

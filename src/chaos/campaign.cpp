@@ -1,55 +1,15 @@
 #include "chaos/campaign.hpp"
 
-#include <algorithm>
-#include <map>
-#include <span>
 #include <utility>
 
-#include "chaos/behavior.hpp"
-#include "chaos/faults.hpp"
-#include "common/error.hpp"
-#include "des/simulator.hpp"
 #include "obs/metrics.hpp"
-#include "sched/problem.hpp"
-#include "trust/agents.hpp"
-#include "trust/reputation_registry.hpp"
-#include "workload/heterogeneity.hpp"
-#include "workload/request_gen.hpp"
+#include "sim/trm_simulation.hpp"
 
 namespace gridtrust::chaos {
 
 namespace {
 
 const obs::Counter kCampaignRounds("chaos.campaign_rounds");
-const obs::Counter kOutcomesFlipped("chaos.outcomes_flipped");
-const obs::Counter kRecsForged("chaos.recommendations_forged");
-const obs::Counter kRecsDropped("chaos.recommendations_dropped");
-const obs::Counter kRecsDelayed("chaos.recommendations_delayed");
-const obs::Counter kWhitewashResets("chaos.whitewash_resets");
-
-/// One recommendation held back by an active report-delay fault.
-struct PendingReport {
-  std::size_t cd = 0;
-  std::size_t rd = 0;
-  std::size_t activity = 0;
-  double score = 0.0;
-};
-
-double observe(double mean, double sigma, Rng& rng) {
-  return std::clamp(mean + rng.normal(0.0, sigma), 1.0, 6.0);
-}
-
-/// Mean numeric table level of one resource domain over all (CD, activity).
-double mean_table_level(const trust::TrustLevelTable& table, std::size_t rd) {
-  double sum = 0.0;
-  for (std::size_t cd = 0; cd < table.client_domains(); ++cd) {
-    for (std::size_t act = 0; act < table.activities(); ++act) {
-      sum += static_cast<double>(trust::to_numeric(table.get(cd, rd, act)));
-    }
-  }
-  return sum / static_cast<double>(table.client_domains() *
-                                   table.activities());
-}
 
 }  // namespace
 
@@ -73,224 +33,56 @@ obs::RunReport CampaignResult::report() const {
 CampaignResult run_campaign(const sim::Scenario& scenario,
                             const CampaignRunConfig& config,
                             std::uint64_t seed) {
-  GT_REQUIRE(config.rounds >= 1, "need at least one round");
-  GT_REQUIRE(config.tasks_per_round >= 1, "need at least one task per round");
-  GT_REQUIRE(config.round_period > 0.0, "round period must be positive");
-  GT_REQUIRE(trust::to_numeric(config.initial_level) <=
-                 trust::to_numeric(trust::kMaxOfferedLevel),
-             "initial level must be an offered level (A..E)");
-  GT_REQUIRE(config.honest_rd_mean >= 1.0 && config.honest_rd_mean <= 6.0 &&
-                 config.honest_cd_mean >= 1.0 && config.honest_cd_mean <= 6.0,
-             "honest conduct means must be on the [1, 6] trust scale");
-  GT_REQUIRE(config.conduct_sigma >= 0.0,
-             "conduct noise must be non-negative");
-  scenario.chaos.validate();
-
-  // Independent substreams so adding chaos randomness never shifts the
-  // topology or workload draws of the clean arm.
-  const Rng master(seed);
-  Rng topo_rng = master.stream(0);
-  Rng workload_rng = master.stream(1);
-  Rng conduct_rng = master.stream(2);
-  Rng chaos_rng = master.stream(3);
-
-  const grid::GridSystem grid = grid::make_random_grid(scenario.grid, topo_rng);
-  const std::size_t n_rd = grid.resource_domains().size();
-  const std::size_t n_cd = grid.client_domains().size();
-  const std::size_t n_act = grid.activities().size();
-  const std::size_t n_machines = grid.machines().size();
-
-  const BehaviorEngine behavior(scenario.chaos.adversaries, n_rd, n_cd);
-  for (const FaultSpec& spec : scenario.chaos.faults) {
-    if (spec.kind == FaultKind::kReportDrop ||
-        spec.kind == FaultKind::kReportDelay) {
-      GT_REQUIRE(spec.target == kAllTargets || spec.target < n_cd,
-                 "report fault targets an unknown client domain");
-    }
-  }
-
-  trust::TrustLevelTable table(n_cd, n_rd, n_act);
-  for (std::size_t cd = 0; cd < n_cd; ++cd) {
-    for (std::size_t rd = 0; rd < n_rd; ++rd) {
-      for (std::size_t act = 0; act < n_act; ++act) {
-        table.set(cd, rd, act, config.initial_level);
-      }
-    }
-  }
-  trust::DomainTrustBridge bridge(
-      trust::make_reputation_policy(scenario.reputation, config.engine,
-                                    n_cd + n_rd, n_act),
-      n_cd, n_rd, n_act, config.min_transactions);
-  // Register collusive alliances so the recommender factor R can discount
-  // ballot-stuffed recommendations (§2.2's collusion defence).  Backends
-  // without an alliance notion (beta, fuzzy) face the same forged stream
-  // with no structural hint — exactly the handicap the tournament measures.
-  if (trust::AllianceGraph* alliances = bridge.policy().alliance_graph()) {
-    for (const auto& [cd, rd] : behavior.collusive_pairs()) {
-      alliances->ally(bridge.cd_entity(cd), bridge.rd_entity(rd));
-    }
-  }
-
-  FaultInjector injector(scenario.chaos.faults, n_machines);
-  des::Simulator des;
-  injector.install(des);
-
-  const sched::SecurityCostModel model(scenario.security);
-  const sched::SchedulingPolicy policy = config.trust_aware
-                                             ? sched::trust_aware_policy()
-                                             : sched::trust_unaware_policy();
-
   CampaignResult result;
   result.rounds.reserve(config.rounds);
-  ChaosCounters counters;
-  // Reports held back by delay faults, keyed by delivery round.
-  std::map<std::size_t, std::vector<PendingReport>> delayed;
-  double clock = 0.0;  // transaction clock, monotone across rounds
+  CampaignRoundMetrics metrics;
 
-  const auto run_round = [&](std::size_t round) {
+  sim::CampaignStages stages;
+  stages.round_event = "chaos_round";
+  // Schedule the round, then price the placements against true conduct
+  // (what they actually expose) and against the table (what it believed).
+  stages.clear = [&](sim::CampaignRound& round) {
     kCampaignRounds.add();
-    CampaignRoundMetrics metrics;
-    metrics.round = round;
-    metrics.machines_down = injector.machines_down();
-
-    // Delayed recommendations arrive at the top of their delivery round,
-    // stamped with the *current* clock (the engine requires non-decreasing
-    // transaction times; the delay is exactly why the evidence is stale).
-    if (const auto it = delayed.find(round); it != delayed.end()) {
-      if (config.adaptive) {
-        for (const PendingReport& report : it->second) {
-          bridge.observe_client_side(report.cd, report.rd, report.activity,
-                                     clock, report.score);
-        }
-      }
-      delayed.erase(it);
-    }
-
-    // --- Generate this round's workload; live faults perturb the costs. ---
-    auto requests = workload::generate_requests(
-        grid, config.tasks_per_round, scenario.requests, workload_rng);
-    auto eec = workload::generate_eec(requests.size(), n_machines,
-                                      scenario.heterogeneity, workload_rng);
-    for (std::size_t m = 0; m < n_machines; ++m) {
-      const double factor = injector.slowdown(m);
-      const bool up = injector.machine_up(m);
-      if (factor == 1.0 && up) continue;
-      for (std::size_t r = 0; r < requests.size(); ++r) {
-        double cost = eec.get(r, m) * factor;
-        if (!up) cost += scenario.chaos.crash_penalty;
-        eec.at(r, m) = cost;
-      }
-    }
-    const auto tc = sched::compute_trust_costs(grid, requests, table, model);
-    std::vector<double> arrivals;
-    arrivals.reserve(requests.size());
-    for (const auto& r : requests) arrivals.push_back(r.arrival_time);
-    const sched::SchedulingProblem problem(std::move(eec), tc, policy, model,
-                                           std::move(arrivals));
-
-    // --- Schedule the round. ---
-    const sim::SimulationResult sim = run_trms(problem, scenario.rms);
-    metrics.makespan = sim.makespan;
-
-    // --- Observe: price the placements against true conduct, then feed the
-    // trust machinery (subject to forged / dropped / delayed reports). ---
+    metrics = CampaignRoundMetrics{};
+    metrics.round = round.index;
+    metrics.machines_down = round.faults.machines_down();
+    const sim::SimulationResult trms =
+        sim::run_trms(round.problem, scenario.rms);
+    metrics.makespan = trms.makespan;
+    const sched::SecurityCostModel& model = round.problem.security_model();
     double true_tc_sum = 0.0;
     double table_tc_sum = 0.0;
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-      const std::size_t m = sim.schedule.machine_of[r];
-      const grid::ResourceDomainId rd = grid.domain_of_machine(m);
-      const std::size_t cd = requests[r].client_domain;
-      const double rd_mean =
-          behavior.rd_conduct_mean(rd, round, config.honest_rd_mean);
+    for (std::size_t r = 0; r < round.requests.size(); ++r) {
+      const std::size_t m = trms.schedule.machine_of[r];
+      const double rd_mean = round.behavior.rd_conduct_mean(
+          round.grid.domain_of_machine(m), round.index, config.honest_rd_mean);
       const trust::TrustLevel true_offered = trust::min_level(
           trust::quantize_level(rd_mean), trust::kMaxOfferedLevel);
       true_tc_sum += static_cast<double>(
-          model.trust_cost(requests[r].effective_rtl(), true_offered));
-      table_tc_sum += static_cast<double>(tc.get(r, m));
-
-      clock += 1.0;
-      const bool misbehaving = behavior.rd_misbehaving(rd, round);
-      for (const grid::ActivityId act : requests[r].activities) {
-        if (misbehaving) {
-          ++counters.outcomes_flipped;
-          kOutcomesFlipped.add();
-        }
-        double client_score;
-        if (const auto forged = behavior.forged_report(cd, rd)) {
-          client_score = *forged;
-          ++counters.recommendations_forged;
-          kRecsForged.add();
-        } else {
-          client_score = observe(rd_mean, config.conduct_sigma, conduct_rng);
-        }
-        const double resource_score = observe(
-            behavior.cd_conduct_mean(cd, round, config.honest_cd_mean),
-            config.conduct_sigma, conduct_rng);
-        if (config.adaptive) {
-          // Report-channel faults act on the CD -> table path only; the
-          // resource-side agent reports through a different channel.
-          const double drop_p = injector.report_drop_probability(cd);
-          const std::size_t delay = injector.report_delay_rounds(cd);
-          if (drop_p > 0.0 && chaos_rng.bernoulli(drop_p)) {
-            ++counters.recommendations_dropped;
-            kRecsDropped.add();
-          } else if (delay > 0) {
-            delayed[round + delay].push_back({cd, rd, act, client_score});
-            ++counters.recommendations_delayed;
-            kRecsDelayed.add();
-          } else {
-            bridge.observe_client_side(cd, rd, act, clock, client_score);
-          }
-          bridge.observe_resource_side(rd, cd, act, clock, resource_score);
-        }
-      }
+          model.trust_cost(round.requests[r].effective_rtl(), true_offered));
+      table_tc_sum += static_cast<double>(round.problem.trust_cost(r, m));
     }
-    metrics.mean_true_trust_cost =
-        true_tc_sum / static_cast<double>(requests.size());
-    metrics.mean_table_trust_cost =
-        table_tc_sum / static_cast<double>(requests.size());
-
-    if (config.adaptive) {
-      metrics.table_updates = bridge.refresh(table, clock);
-    }
-
-    // --- Whitewashing: a collapsed adversary resets its identity.  The
-    // engine forgets every record involving the domain and the table snaps
-    // back to the stranger level — the cost of admitting newcomers. ---
-    for (std::size_t rd = 0; rd < n_rd; ++rd) {
-      if (!behavior.should_whitewash(rd, mean_table_level(table, rd))) {
-        continue;
-      }
-      bridge.policy().forget(bridge.rd_entity(rd));
-      for (std::size_t cd = 0; cd < n_cd; ++cd) {
-        for (std::size_t act = 0; act < n_act; ++act) {
-          table.set(cd, rd, act, config.initial_level);
-        }
-      }
-      ++counters.whitewash_resets;
-      kWhitewashResets.add();
-    }
-
-    // --- Misclassification against ground truth, post-refresh/reset. ---
+    const auto n = static_cast<double>(round.requests.size());
+    metrics.mean_true_trust_cost = true_tc_sum / n;
+    metrics.mean_table_trust_cost = table_tc_sum / n;
+    return trms.schedule.machine_of;
+  };
+  // Misclassification against ground truth, post-refresh/reset.
+  stages.end_round = [&](const sim::CampaignRound& round) {
+    metrics.table_updates = round.table_updates;
+    const std::size_t n_rd = round.table.resource_domains();
     std::size_t wrong = 0;
     for (std::size_t rd = 0; rd < n_rd; ++rd) {
-      const bool believed_bad = mean_table_level(table, rd) < 3.0;
-      if (believed_bad != behavior.adversarial_rd(rd)) ++wrong;
+      const bool believed_bad = sim::mean_table_level(round.table, rd) < 3.0;
+      if (believed_bad != round.behavior.adversarial_rd(rd)) ++wrong;
     }
     metrics.misclassification_rate =
         static_cast<double>(wrong) / static_cast<double>(n_rd);
-
     result.rounds.push_back(metrics);
   };
 
-  for (std::size_t round = 0; round < config.rounds; ++round) {
-    des.schedule_at(static_cast<double>(round) * config.round_period,
-                    [&run_round, round] { run_round(round); }, "chaos_round");
-  }
-  des.run();
-
-  counters.faults_injected = injector.faults_injected();
-  result.counters = counters;
+  sim::CampaignLoopResult loop =
+      sim::run_campaign_loop(scenario, config, seed, stages);
 
   // Detection latency: the first round from which the table's adversary
   // labels stay correct.  A clean campaign detects at round 0 by definition.
@@ -304,24 +96,18 @@ CampaignResult run_campaign(const sim::Scenario& scenario,
   result.detection_latency_rounds =
       latency >= static_cast<int>(result.rounds.size()) ? -1 : latency;
 
-  const std::size_t half = result.rounds.size() / 2;
-  double tc_sum = 0.0;
-  double mk_sum = 0.0;
-  double mis_sum = 0.0;
-  for (std::size_t i = half; i < result.rounds.size(); ++i) {
-    tc_sum += result.rounds[i].mean_true_trust_cost;
-    mk_sum += result.rounds[i].makespan;
-    mis_sum += result.rounds[i].misclassification_rate;
-  }
-  const double steady_n = static_cast<double>(result.rounds.size() - half);
-  result.steady_true_trust_cost = tc_sum / steady_n;
-  result.steady_makespan = mk_sum / steady_n;
-  result.steady_misclassification = mis_sum / steady_n;
+  result.steady_true_trust_cost = sim::steady_state_mean(
+      result.rounds, &CampaignRoundMetrics::mean_true_trust_cost);
+  result.steady_makespan =
+      sim::steady_state_mean(result.rounds, &CampaignRoundMetrics::makespan);
+  result.steady_misclassification = sim::steady_state_mean(
+      result.rounds, &CampaignRoundMetrics::misclassification_rate);
 
-  result.final_table = table;
-  result.transactions = bridge.policy().transaction_count();
-  result.reputation_backend = bridge.policy().name();
-  result.backend_counters = bridge.policy().counters();
+  result.counters = loop.counters;
+  result.final_table = std::move(loop.final_table);
+  result.transactions = loop.transactions;
+  result.reputation_backend = std::move(loop.reputation_backend);
+  result.backend_counters = std::move(loop.backend_counters);
   return result;
 }
 

@@ -1,12 +1,13 @@
 // Chaos campaigns: adversarial closed-loop runs with robustness metrics.
 //
-// A campaign replays the closed-loop TRMS (generate -> schedule -> observe ->
-// refresh) on a DES clock while the scenario's CampaignConfig perturbs it:
-// adversarial domains misbehave per their BehaviorEngine strategy, a
-// FaultInjector crashes and slows machines and drops or delays
-// recommendation reports as first-class "chaos_fault" events, and collusive
-// alliances forge recommendations through the very path the paper's
-// recommender factor R is designed to police.
+// A campaign runs the closed-loop TRMS (generate -> schedule -> observe ->
+// refresh) on sim::run_campaign_loop, clearing each round with run_trms,
+// while the scenario's CampaignConfig perturbs it: adversarial domains
+// misbehave per their BehaviorEngine strategy, a FaultInjector crashes and
+// slows machines and drops or delays recommendation reports as first-class
+// "chaos_fault" events, and collusive alliances forge recommendations
+// through the very path the paper's recommender factor R is designed to
+// police.
 //
 // The output answers the robustness question the clean experiments cannot:
 // how quickly does the trust machinery *detect* misbehaving domains
@@ -23,37 +24,15 @@
 
 #include "chaos/config.hpp"
 #include "obs/report.hpp"
+#include "sim/campaign_loop.hpp"
 #include "sim/experiment.hpp"
-#include "trust/trust_engine.hpp"
 #include "trust/trust_table.hpp"
 
 namespace gridtrust::chaos {
 
 /// How the campaign's closed loop runs (the clean-loop knobs; the
 /// adversarial knobs live in the scenario's CampaignConfig).
-struct CampaignRunConfig {
-  /// Scheduling rounds; each lasts round_period seconds of DES time.
-  std::size_t rounds = 16;
-  std::size_t tasks_per_round = 40;
-  double round_period = 60.0;
-  /// Trust-aware (TC-priced, table-driven) vs trust-unaware (EEC-only
-  /// placement, blanket security) scheduling arm.
-  bool trust_aware = true;
-  /// When false the table never updates (ablation: how much of the
-  /// robustness comes from trust *evolution* rather than trust *pricing*).
-  bool adaptive = true;
-  /// Every table entry starts here — strangers get the benefit of the doubt,
-  /// which is exactly what whitewashing exploits.
-  trust::TrustLevel initial_level = trust::TrustLevel::kE;
-  /// Observations required before an agent may update a table entry.
-  std::uint64_t min_transactions = 3;
-  trust::TrustEngineConfig engine;
-  /// Latent conduct means of domains without an adversary spec.
-  double honest_rd_mean = 5.4;
-  double honest_cd_mean = 5.2;
-  /// Observation noise around the latent conduct mean.
-  double conduct_sigma = 0.3;
-};
+struct CampaignRunConfig : sim::CampaignLoopConfig {};
 
 /// Per-round robustness metrics.
 struct CampaignRoundMetrics {

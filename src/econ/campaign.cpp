@@ -1,22 +1,15 @@
 #include "econ/campaign.hpp"
 
 #include <algorithm>
-#include <map>
-#include <utility>
+#include <memory>
 #include <vector>
 
-#include "chaos/behavior.hpp"
-#include "chaos/faults.hpp"
 #include "common/error.hpp"
-#include "des/simulator.hpp"
+#include "common/rng.hpp"
 #include "econ/market.hpp"
 #include "econ/price_model.hpp"
 #include "obs/metrics.hpp"
-#include "sched/problem.hpp"
-#include "trust/agents.hpp"
-#include "trust/reputation_registry.hpp"
-#include "workload/heterogeneity.hpp"
-#include "workload/request_gen.hpp"
+#include "sched/schedule.hpp"
 
 namespace gridtrust::econ {
 
@@ -28,30 +21,6 @@ const obs::Counter kRejectedBudget("econ.rejected_budget");
 const obs::Counter kRejectedDeadline("econ.rejected_deadline");
 const obs::Counter kBudgetOverruns("econ.budget_overruns");
 const obs::Counter kDeadlineMisses("econ.deadline_misses");
-
-/// One recommendation held back by an active report-delay fault.
-struct PendingReport {
-  std::size_t cd = 0;
-  std::size_t rd = 0;
-  std::size_t activity = 0;
-  double score = 0.0;
-};
-
-double observe(double mean, double sigma, Rng& rng) {
-  return std::clamp(mean + rng.normal(0.0, sigma), 1.0, 6.0);
-}
-
-/// Mean numeric table level of one resource domain over all (CD, activity).
-double mean_table_level(const trust::TrustLevelTable& table, std::size_t rd) {
-  double sum = 0.0;
-  for (std::size_t cd = 0; cd < table.client_domains(); ++cd) {
-    for (std::size_t act = 0; act < table.activities(); ++act) {
-      sum += static_cast<double>(trust::to_numeric(table.get(cd, rd, act)));
-    }
-  }
-  return sum / static_cast<double>(table.client_domains() *
-                                   table.activities());
-}
 
 }  // namespace
 
@@ -77,129 +46,45 @@ MarketCampaignResult run_market_campaign(const sim::Scenario& scenario,
              "market campaign needs an enabled economy "
              "(ScenarioBuilder::with_economy)");
   scenario.economy.validate();
-  scenario.chaos.validate();
-  GT_REQUIRE(config.rounds >= 1, "need at least one round");
-  GT_REQUIRE(config.tasks_per_round >= 1, "need at least one task per round");
-  GT_REQUIRE(config.round_period > 0.0, "round period must be positive");
-  GT_REQUIRE(trust::to_numeric(config.initial_level) <=
-                 trust::to_numeric(trust::kMaxOfferedLevel),
-             "initial level must be an offered level (A..E)");
-  GT_REQUIRE(config.conduct_sigma >= 0.0,
-             "conduct noise must be non-negative");
-
-  // Streams 0..3 match chaos::run_campaign so the topology, workload, and
-  // conduct draws of a market campaign agree with the chaos campaign on the
-  // same seed; the economy's own draws live on stream 4, where they cannot
-  // shift anything the un-priced loop consumes.
-  const Rng master(seed);
-  Rng topo_rng = master.stream(0);
-  Rng workload_rng = master.stream(1);
-  Rng conduct_rng = master.stream(2);
-  Rng chaos_rng = master.stream(3);
-  Rng econ_rng = master.stream(4);
-
-  const grid::GridSystem grid = grid::make_random_grid(scenario.grid, topo_rng);
-  const std::size_t n_rd = grid.resource_domains().size();
-  const std::size_t n_cd = grid.client_domains().size();
-  const std::size_t n_act = grid.activities().size();
-  const std::size_t n_machines = grid.machines().size();
-
-  const chaos::BehaviorEngine behavior(scenario.chaos.adversaries, n_rd,
-                                       n_cd);
-  for (const chaos::FaultSpec& spec : scenario.chaos.faults) {
-    if (spec.kind == chaos::FaultKind::kReportDrop ||
-        spec.kind == chaos::FaultKind::kReportDelay) {
-      GT_REQUIRE(spec.target == chaos::kAllTargets || spec.target < n_cd,
-                 "report fault targets an unknown client domain");
-    }
-  }
-
-  trust::TrustLevelTable table(n_cd, n_rd, n_act);
-  for (std::size_t cd = 0; cd < n_cd; ++cd) {
-    for (std::size_t rd = 0; rd < n_rd; ++rd) {
-      for (std::size_t act = 0; act < n_act; ++act) {
-        table.set(cd, rd, act, config.initial_level);
-      }
-    }
-  }
-  trust::DomainTrustBridge bridge(
-      trust::make_reputation_policy(scenario.reputation, config.engine,
-                                    n_cd + n_rd, n_act),
-      n_cd, n_rd, n_act, config.min_transactions);
-  if (trust::AllianceGraph* alliances = bridge.policy().alliance_graph()) {
-    for (const auto& [cd, rd] : behavior.collusive_pairs()) {
-      alliances->ally(bridge.cd_entity(cd), bridge.rd_entity(rd));
-    }
-  }
-
-  chaos::FaultInjector injector(scenario.chaos.faults, n_machines);
-  des::Simulator des;
-  injector.install(des);
-
-  const sched::SecurityCostModel model(scenario.security);
-  const sched::SchedulingPolicy policy = config.trust_aware
-                                             ? sched::trust_aware_policy()
-                                             : sched::trust_unaware_policy();
   const MechanismKind mechanism =
       mechanism_from_string(scenario.economy.mechanism);
-  auto prices = make_price_model(
-      scenario.economy,
-      draw_base_rates(scenario.economy, n_machines, econ_rng));
+
+  // The loop owns streams 0..3, so the topology, workload, and conduct
+  // draws of a market campaign agree with the chaos campaign on the same
+  // seed; the economy's own draws live on stream 4, where they cannot shift
+  // anything the un-priced loop consumes.
+  Rng econ_rng = Rng(seed).stream(4);
+  std::unique_ptr<PriceModel> prices;
 
   MarketCampaignResult result;
   result.rounds.reserve(config.rounds);
-  result.pricing = prices->name();
   result.mechanism = scenario.economy.mechanism;
-  // Reports held back by delay faults, keyed by delivery round.
-  std::map<std::size_t, std::vector<PendingReport>> delayed;
-  double clock = 0.0;  // transaction clock, monotone across rounds
   std::uint64_t offered = 0;
+  MarketRoundMetrics metrics;
+  MarketResult cleared;
 
-  const auto run_round = [&](std::size_t round) {
+  sim::CampaignStages stages;
+  stages.round_event = "econ_round";
+  stages.clear = [&](sim::CampaignRound& round) {
     kMarketRounds.add();
-    MarketRoundMetrics metrics;
-    metrics.round = round;
-
-    if (const auto it = delayed.find(round); it != delayed.end()) {
-      if (config.adaptive) {
-        for (const PendingReport& report : it->second) {
-          bridge.observe_client_side(report.cd, report.rd, report.activity,
-                                     clock, report.score);
-        }
-      }
-      delayed.erase(it);
-    }
-
-    // --- Generate this round's workload; live faults perturb the costs. ---
-    auto requests = workload::generate_requests(
-        grid, config.tasks_per_round, scenario.requests, workload_rng);
-    auto eec = workload::generate_eec(requests.size(), n_machines,
-                                      scenario.heterogeneity, workload_rng);
-    for (std::size_t m = 0; m < n_machines; ++m) {
-      const double factor = injector.slowdown(m);
-      const bool up = injector.machine_up(m);
-      if (factor == 1.0 && up) continue;
-      for (std::size_t r = 0; r < requests.size(); ++r) {
-        double cost = eec.get(r, m) * factor;
-        if (!up) cost += scenario.chaos.crash_penalty;
-        eec.at(r, m) = cost;
-      }
+    const std::size_t n_machines = round.grid.machines().size();
+    if (!prices) {  // base rates are the first stream-4 draw
+      prices = make_price_model(
+          scenario.economy,
+          draw_base_rates(scenario.economy, n_machines, econ_rng));
     }
     // QoS terms anchor on the *clean* decision costs and current rates, so
     // a buyer's budget reflects what it believed the market charges.
-    draw_qos_terms(requests, eec, prices->rates(), scenario.economy,
-                   econ_rng);
-    const auto tc = sched::compute_trust_costs(grid, requests, table, model);
-    std::vector<double> arrivals;
-    arrivals.reserve(requests.size());
-    for (const auto& r : requests) arrivals.push_back(r.arrival_time);
-    const sched::SchedulingProblem problem(std::move(eec), tc, policy, model,
-                                           std::move(arrivals));
+    draw_qos_terms(round.requests, round.problem.eec_matrix(),
+                   prices->rates(), scenario.economy, econ_rng);
 
-    // --- Clear the market (round-local time; arrivals are intra-round). ---
-    const MarketProblem market(problem, requests, prices->rates());
-    const MarketResult cleared = run_market(market, mechanism);
-    offered += requests.size();
+    // Round-local time; arrivals are intra-round.
+    const MarketProblem market(round.problem, round.requests,
+                               prices->rates());
+    cleared = run_market(market, mechanism);
+    offered += round.requests.size();
+    metrics = MarketRoundMetrics{};
+    metrics.round = round.index;
     metrics.served = static_cast<std::size_t>(cleared.counters.served);
     metrics.rejected =
         static_cast<std::size_t>(cleared.counters.rejected_budget +
@@ -218,62 +103,19 @@ MarketCampaignResult run_market_campaign(const sim::Scenario& scenario,
     kBudgetOverruns.add(static_cast<double>(cleared.counters.budget_overruns));
     kDeadlineMisses.add(static_cast<double>(cleared.counters.deadline_misses));
 
-    // --- Observe: only *served* requests generate transaction evidence —
-    // a rejected request never touches a machine, so the trust machinery
-    // learns nothing from it.  Forged / dropped / delayed reports perturb
-    // the evidence exactly as in chaos::run_campaign. ---
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-      if (!cleared.outcomes[r].served) continue;
-      const std::size_t m = cleared.outcomes[r].machine;
-      const grid::ResourceDomainId rd = grid.domain_of_machine(m);
-      const std::size_t cd = requests[r].client_domain;
-      const double rd_mean =
-          behavior.rd_conduct_mean(rd, round, config.honest_rd_mean);
-      clock += 1.0;
-      for (const grid::ActivityId act : requests[r].activities) {
-        double client_score;
-        if (const auto forged = behavior.forged_report(cd, rd)) {
-          client_score = *forged;
-        } else {
-          client_score = observe(rd_mean, config.conduct_sigma, conduct_rng);
-        }
-        const double resource_score = observe(
-            behavior.cd_conduct_mean(cd, round, config.honest_cd_mean),
-            config.conduct_sigma, conduct_rng);
-        if (config.adaptive) {
-          const double drop_p = injector.report_drop_probability(cd);
-          const std::size_t delay = injector.report_delay_rounds(cd);
-          if (drop_p > 0.0 && chaos_rng.bernoulli(drop_p)) {
-            // dropped on the wire
-          } else if (delay > 0) {
-            delayed[round + delay].push_back({cd, rd, act, client_score});
-          } else {
-            bridge.observe_client_side(cd, rd, act, clock, client_score);
-          }
-          bridge.observe_resource_side(rd, cd, act, clock, resource_score);
-        }
-      }
+    // A rejected request never touches a machine, so the trust machinery
+    // learns nothing from it.
+    std::vector<std::size_t> placement(cleared.outcomes.size());
+    for (std::size_t r = 0; r < placement.size(); ++r) {
+      placement[r] = cleared.outcomes[r].served ? cleared.outcomes[r].machine
+                                                : sched::kUnassigned;
     }
-
-    if (config.adaptive) {
-      bridge.refresh(table, clock);
-    }
-
-    // --- Whitewashing: a collapsed adversary resets its identity. ---
-    for (std::size_t rd = 0; rd < n_rd; ++rd) {
-      if (!behavior.should_whitewash(rd, mean_table_level(table, rd))) {
-        continue;
-      }
-      bridge.policy().forget(bridge.rd_entity(rd));
-      for (std::size_t cd = 0; cd < n_cd; ++cd) {
-        for (std::size_t act = 0; act < n_act; ++act) {
-          table.set(cd, rd, act, config.initial_level);
-        }
-      }
-    }
-
-    // --- Reprice for the next round from realized utilization and the
-    // refreshed table: trust moved, so trust-weighted rates move too. ---
+    return placement;
+  };
+  // Reprice for the next round from realized utilization and the refreshed
+  // table: trust moved, so trust-weighted rates move too.
+  stages.end_round = [&](const sim::CampaignRound& round) {
+    const std::size_t n_machines = round.grid.machines().size();
     double makespan = 0.0;
     for (std::size_t m = 0; m < n_machines; ++m) {
       makespan = std::max(makespan, cleared.schedule.machine_available[m]);
@@ -286,8 +128,8 @@ MarketCampaignResult run_market_campaign(const sim::Scenario& scenario,
       signals.utilization[m] =
           makespan > 0.0 ? cleared.schedule.machine_available[m] / makespan
                          : 0.0;
-      signals.trust_level[m] =
-          mean_table_level(table, grid.domain_of_machine(m));
+      signals.trust_level[m] = sim::mean_table_level(
+          round.table, round.grid.domain_of_machine(m));
     }
     prices->update_round(signals);
     metrics.price_index = prices->price_index();
@@ -299,7 +141,7 @@ MarketCampaignResult run_market_campaign(const sim::Scenario& scenario,
     std::size_t adv_n = 0;
     std::size_t hon_n = 0;
     for (std::size_t m = 0; m < n_machines; ++m) {
-      if (behavior.adversarial_rd(grid.domain_of_machine(m))) {
+      if (round.behavior.adversarial_rd(round.grid.domain_of_machine(m))) {
         adv_sum += prices->rate(m);
         ++adv_n;
       } else {
@@ -312,16 +154,13 @@ MarketCampaignResult run_market_campaign(const sim::Scenario& scenario,
           (adv_sum / static_cast<double>(adv_n)) /
           (hon_sum / static_cast<double>(hon_n));
     }
-
     result.rounds.push_back(metrics);
   };
 
-  for (std::size_t round = 0; round < config.rounds; ++round) {
-    des.schedule_at(static_cast<double>(round) * config.round_period,
-                    [&run_round, round] { run_round(round); }, "econ_round");
-  }
-  des.run();
+  const sim::CampaignLoopResult loop =
+      sim::run_campaign_loop(scenario, config, seed, stages);
 
+  result.pricing = prices->name();
   result.served_fraction =
       offered > 0 ? static_cast<double>(result.counters.served) /
                         static_cast<double>(offered)
@@ -334,26 +173,16 @@ MarketCampaignResult run_market_campaign(const sim::Scenario& scenario,
         static_cast<double>(result.counters.deadline_misses) /
         static_cast<double>(result.counters.served);
   }
-
-  const std::size_t half = result.rounds.size() / 2;
-  double spend_sum = 0.0;
-  double welfare_sum = 0.0;
-  double index_sum = 0.0;
-  double premium_sum = 0.0;
-  for (std::size_t i = half; i < result.rounds.size(); ++i) {
-    spend_sum += result.rounds[i].total_spend;
-    welfare_sum += result.rounds[i].welfare;
-    index_sum += result.rounds[i].price_index;
-    premium_sum += result.rounds[i].adversary_premium;
-  }
-  const double steady_n = static_cast<double>(result.rounds.size() - half);
-  result.steady_spend = spend_sum / steady_n;
-  result.steady_welfare = welfare_sum / steady_n;
-  result.steady_price_index = index_sum / steady_n;
-  result.steady_adversary_premium = premium_sum / steady_n;
-
-  result.transactions = bridge.policy().transaction_count();
-  result.reputation_backend = bridge.policy().name();
+  result.steady_spend =
+      sim::steady_state_mean(result.rounds, &MarketRoundMetrics::total_spend);
+  result.steady_welfare =
+      sim::steady_state_mean(result.rounds, &MarketRoundMetrics::welfare);
+  result.steady_price_index =
+      sim::steady_state_mean(result.rounds, &MarketRoundMetrics::price_index);
+  result.steady_adversary_premium = sim::steady_state_mean(
+      result.rounds, &MarketRoundMetrics::adversary_premium);
+  result.transactions = loop.transactions;
+  result.reputation_backend = loop.reputation_backend;
   return result;
 }
 

@@ -1,14 +1,16 @@
 // Market campaigns: the closed trust loop with money flowing through it.
 //
-// A market campaign replays the closed-loop TRMS the way chaos::run_campaign
-// does — generate -> clear -> observe -> refresh on a DES clock, with the
-// scenario's CampaignConfig supplying adversaries and faults — but replaces
-// the cost-minimizing mapper with a market: machines post per-second rates
-// from the scenario's PriceModel, requests carry drawn deadlines / budgets /
-// valuations, and one of the run_market mechanisms allocates.  After every
-// round the price model folds in realized utilization and the table's
-// current trust levels, closing a second loop: trust moves prices, prices
-// move placements, placements generate the evidence trust is formed from.
+// A market campaign runs the same closed loop as chaos::run_campaign,
+// sim::run_campaign_loop (generate -> clear -> observe -> refresh on a DES
+// clock, with the scenario's CampaignConfig supplying adversaries and
+// faults), but its clearing stage is a market instead of the
+// cost-minimizing mapper: machines post per-second rates from the
+// scenario's PriceModel, requests carry drawn deadlines / budgets /
+// valuations, and one of the run_market mechanisms allocates.  Its
+// round-end stage folds realized utilization and the table's current trust
+// levels into the price model, closing a second loop: trust moves prices,
+// prices move placements, placements generate the evidence trust is formed
+// from.
 //
 // This is where the cartel question becomes measurable: a collusive
 // alliance ballot-stuffs the very trust levels a trust-weighted price model
@@ -24,33 +26,18 @@
 
 #include "econ/config.hpp"
 #include "obs/report.hpp"
+#include "sim/campaign_loop.hpp"
 #include "sim/experiment.hpp"
-#include "trust/trust_engine.hpp"
 
 namespace gridtrust::econ {
 
 /// Closed-loop knobs of one market campaign (the economic knobs live in
 /// the scenario's EconomyConfig, the adversarial ones in its CampaignConfig).
-struct MarketRunConfig {
-  /// Market rounds; each lasts round_period seconds of DES time.
-  std::size_t rounds = 12;
-  std::size_t tasks_per_round = 30;
-  double round_period = 60.0;
-  /// Trust-aware (TC-priced decision view) vs trust-unaware (bare-EEC
-  /// decisions, blanket security metered) market arm.
-  bool trust_aware = true;
-  /// When false the table never updates (ablation: static trust prices).
-  bool adaptive = true;
-  /// Stranger level every table entry starts at.
-  trust::TrustLevel initial_level = trust::TrustLevel::kE;
-  /// Observations required before an agent may update a table entry.
-  std::uint64_t min_transactions = 3;
-  trust::TrustEngineConfig engine;
-  /// Latent conduct means of domains without an adversary spec.
-  double honest_rd_mean = 5.4;
-  double honest_cd_mean = 5.2;
-  /// Observation noise around the latent conduct mean.
-  double conduct_sigma = 0.3;
+struct MarketRunConfig : sim::CampaignLoopConfig {
+  MarketRunConfig() {
+    rounds = 12;
+    tasks_per_round = 30;
+  }
 };
 
 /// Per-round market metrics.

@@ -41,6 +41,7 @@ class SchedulingProblem {
 
   /// Expected execution cost of request r on machine m (seconds).
   double eec(std::size_t r, std::size_t m) const { return eec_.get(r, m); }
+  const CostMatrix& eec_matrix() const { return eec_; }
 
   /// Trust cost (0..6) of request r on machine m.
   int trust_cost(std::size_t r, std::size_t m) const { return tc_.get(r, m); }

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "sched/problem.hpp"
 #include "trust/beta_reputation.hpp"
+#include "trust/gamma_policy.hpp"
 
 namespace gridtrust::sim {
 
@@ -93,9 +95,10 @@ ClosedLoopResult run_closed_loop(const grid::GridSystem& grid,
       }
     }
   }
-  trust::DomainTrustBridge bridge(config.engine, n_cd, n_rd,
-                                  grid.activities().size(),
-                                  config.min_transactions);
+  trust::DomainTrustBridge bridge(
+      std::make_unique<trust::GammaReputationPolicy>(
+          config.engine, n_cd + n_rd, grid.activities().size()),
+      n_cd, n_rd, grid.activities().size(), config.min_transactions);
   trust::BetaReputationEngine beta({}, n_cd + n_rd,
                                    grid.activities().size());
 
@@ -104,8 +107,8 @@ ClosedLoopResult run_closed_loop(const grid::GridSystem& grid,
     GT_REQUIRE(cd < n_cd && rd < n_rd,
                "colluding pair references unknown domains");
     if (config.maintainer == ClosedLoopConfig::TableMaintainer::kGammaBridge) {
-      bridge.engine().alliances().ally(bridge.cd_entity(cd),
-                                       bridge.rd_entity(rd));
+      bridge.policy().alliance_graph()->ally(bridge.cd_entity(cd),
+                                             bridge.rd_entity(rd));
     }
   }
   const auto colludes = [&](std::size_t cd, std::size_t rd) {
@@ -285,7 +288,7 @@ ClosedLoopResult run_closed_loop(const grid::GridSystem& grid,
 
   result.final_table = table;
   result.transactions =
-      bridge.engine().transaction_count() + beta.transaction_count();
+      bridge.policy().transaction_count() + beta.transaction_count();
   return result;
 }
 

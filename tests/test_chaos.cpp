@@ -10,6 +10,7 @@
 #include "chaos/config.hpp"
 #include "chaos/faults.hpp"
 #include "common/error.hpp"
+#include "common/fs.hpp"
 #include "des/simulator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
@@ -416,6 +417,45 @@ TEST(ChaosCampaign, SeedDeterminismRegression) {
       chaos::run_campaign(scenario, config, 100).report().to_json();
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+// Golden report: one campaign with every perturbation switched on — the
+// ballot-stuffing cartel, a whitewashing RD, a report-drop and a
+// report-delay fault, a machine crash and a slowdown.  The RunReport must
+// match the committed file byte for byte (%.17g), so a reordered conduct,
+// chaos, or workload draw anywhere in the campaign loop shows up here.
+TEST(ChaosCampaign, EveryPerturbationMatchesTheGoldenReport) {
+  std::vector<chaos::AdversarySpec> adversaries(4);
+  adversaries[0].domain = 0;
+  adversaries[0].kind = chaos::BehaviorKind::kCollusive;
+  adversaries[1].domain = 1;
+  adversaries[1].kind = chaos::BehaviorKind::kCollusive;
+  adversaries[2].side = chaos::AdversarySide::kClientDomain;
+  adversaries[2].domain = 0;
+  adversaries[2].kind = chaos::BehaviorKind::kCollusive;
+  adversaries[3].domain = 2;
+  adversaries[3].kind = chaos::BehaviorKind::kWhitewashing;
+  std::vector<chaos::FaultSpec> faults(4);
+  faults[0] = {chaos::FaultKind::kReportDrop, 1, 0.0, 400.0, 0.4};
+  faults[1] = {chaos::FaultKind::kReportDelay, chaos::kAllTargets, 120.0,
+               300.0, 2.0};
+  faults[2] = {chaos::FaultKind::kMachineCrash, 3, 60.0, 120.0, 1.0};
+  faults[3] = {chaos::FaultKind::kMachineSlowdown, 4, 0.0, 240.0, 2.5};
+  chaos::CampaignRunConfig config = fast_campaign();
+  config.rounds = 12;
+  const chaos::CampaignResult result = chaos::run_campaign(
+      campaign_scenario(adversaries, faults), config, 2024);
+  EXPECT_GT(result.counters.recommendations_forged, 0u);
+  EXPECT_GT(result.counters.recommendations_dropped, 0u);
+  EXPECT_GT(result.counters.recommendations_delayed, 0u);
+  EXPECT_GT(result.counters.whitewash_resets, 0u);
+  EXPECT_EQ(result.counters.faults_injected, 4u);
+  EXPECT_EQ(result.report().to_json() + "\n",
+            read_file(std::string(GRIDTRUST_SOURCE_DIR) +
+                      "/baselines/chaos_campaign_golden.json"))
+      << "the chaos campaign no longer reproduces its golden report; if the "
+         "change is intentional, regenerate "
+         "baselines/chaos_campaign_golden.json";
 }
 
 // Acceptance: an empty CampaignConfig leaves the static experiment path

@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "chaos/config.hpp"
 #include "common/error.hpp"
+#include "common/fs.hpp"
 #include "common/rng.hpp"
 #include "econ/campaign.hpp"
 #include "econ/config.hpp"
@@ -16,6 +18,7 @@
 #include "econ/price_model.hpp"
 #include "grid/request.hpp"
 #include "lab/catalog.hpp"
+#include "obs/metrics.hpp"
 #include "sched/problem.hpp"
 #include "sched/security_model.hpp"
 #include "sim/scenario_builder.hpp"
@@ -414,6 +417,83 @@ TEST(MarketCampaign, ReportCarriesEconKeys) {
         "steady_price_index", "steady_welfare", "transactions"}) {
     EXPECT_TRUE(report.has(key)) << key;
   }
+}
+
+/// The backend tournament's ballot-stuffing cartel: two collusive RDs and
+/// an allied collusive CD that rates them 6.0 and badmouths outsiders.
+std::vector<chaos::AdversarySpec> ballot_stuffing_cartel() {
+  std::vector<chaos::AdversarySpec> cartel(3);
+  cartel[0].domain = 0;
+  cartel[0].kind = chaos::BehaviorKind::kCollusive;
+  cartel[1].domain = 1;
+  cartel[1].kind = chaos::BehaviorKind::kCollusive;
+  cartel[2].side = chaos::AdversarySide::kClientDomain;
+  cartel[2].domain = 0;
+  cartel[2].kind = chaos::BehaviorKind::kCollusive;
+  return cartel;
+}
+
+sim::Scenario cartel_market(std::vector<chaos::AdversarySpec> adversaries,
+                            std::vector<chaos::FaultSpec> faults = {}) {
+  EconomyConfig economy;
+  economy.pricing = "trust";
+  economy.mechanism = "posted-cost";
+  return sim::ScenarioBuilder()
+      .machines(6)
+      .resource_domains(6, 6)
+      .client_domains(3, 3)
+      .heuristic("mct")
+      .inconsistent()
+      .with_economy(economy)
+      .with_adversaries(adversaries)
+      .with_faults(faults)
+      .build();
+}
+
+TEST(MarketCampaign, CartelEvidencePerturbationsReachTheMetrics) {
+  MarketRunConfig config;
+  config.rounds = 4;
+  config.tasks_per_round = 12;
+  obs::MetricsRegistry registry;
+  obs::install(&registry);
+  (void)run_market_campaign(cartel_market(ballot_stuffing_cartel()), config, 3);
+  const obs::Snapshot snap = registry.snapshot();
+  obs::install(nullptr);
+  const auto forged = snap.counters.find("chaos.recommendations_forged");
+  EXPECT_TRUE(forged != snap.counters.end() && forged->second > 0.0)
+      << "a cartel market must count the recommendations it forges";
+  EXPECT_GT(snap.counters.at("econ.market_rounds"), 0.0);
+}
+
+// Golden report: a market campaign with every perturbation switched on —
+// the cartel, a whitewashing RD, a report-drop and a report-delay fault, a
+// machine crash and a slowdown.  No catalog spec runs a market under faults
+// or whitewash, so this byte comparison (%.17g) is what catches a
+// reordered conduct or chaos draw on that path.
+TEST(MarketCampaign, EveryPerturbationMatchesTheGoldenReport) {
+  std::vector<chaos::AdversarySpec> adversaries = ballot_stuffing_cartel();
+  chaos::AdversarySpec washer;
+  washer.domain = 2;
+  washer.kind = chaos::BehaviorKind::kWhitewashing;
+  adversaries.push_back(washer);
+  std::vector<chaos::FaultSpec> faults(4);
+  faults[0] = {chaos::FaultKind::kReportDrop, 1, 0.0, 400.0, 0.4};
+  faults[1] = {chaos::FaultKind::kReportDelay, chaos::kAllTargets, 120.0,
+               300.0, 2.0};
+  faults[2] = {chaos::FaultKind::kMachineCrash, 3, 60.0, 120.0, 1.0};
+  faults[3] = {chaos::FaultKind::kMachineSlowdown, 4, 0.0, 240.0, 2.5};
+  MarketRunConfig config;
+  config.rounds = 12;
+  config.tasks_per_round = 24;
+  const MarketCampaignResult result =
+      run_market_campaign(cartel_market(adversaries, faults), config, 2024);
+  EXPECT_GT(result.counters.served, 0u);
+  EXPECT_EQ(result.report().to_json() + "\n",
+            read_file(std::string(GRIDTRUST_SOURCE_DIR) +
+                      "/baselines/market_campaign_golden.json"))
+      << "the market campaign no longer reproduces its golden report; if "
+         "the change is intentional, regenerate "
+         "baselines/market_campaign_golden.json";
 }
 
 TEST(MarketCampaign, CatalogRegistersTheMarketSpecs) {

@@ -48,7 +48,7 @@ const std::vector<std::string>& all_backends() {
 std::vector<Transaction> fixed_stream(std::size_t entities) {
   std::vector<Transaction> stream;
   double t = 0.0;
-  for (int pass = 0; pass < 4; ++pass) {
+  for (EntityId pass = 0; pass < 4; ++pass) {
     for (EntityId a = 0; a < entities; ++a) {
       for (EntityId b = 0; b < entities; ++b) {
         if (a == b) continue;
@@ -244,8 +244,8 @@ class BackendConformance : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
                          ::testing::ValuesIn(all_backends()),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == ':') c = '_';
                            }
@@ -343,7 +343,7 @@ TEST(BackendConformancePerStream,
      ReputationComponentExcludesTheEvaluator) {
   // Pooled-evidence beta cannot attribute records to recommenders, so the
   // evaluator-exclusion clause binds the per-stream backends only.
-  for (const std::string& name : {"gamma", "fuzzy", "purge:gamma"}) {
+  for (const char* name : {"gamma", "fuzzy", "purge:gamma"}) {
     const auto policy = make_reputation_policy(name, params_for(4, 1));
     // Entity 2 is the sole holder of evidence about entity 1.
     policy->record_transaction({2, 1, 0, 1.0, 5.0});
@@ -388,35 +388,11 @@ TEST(GammaPolicy, RecommendationFoldsAsTheRecommendersOwnRecord) {
             via_rec.observation_count(0, 1, 0));
 }
 
-TEST(DomainTrustBridge, LegacyShimAndPolicyCtorAgree) {
-  const auto feed = [](DomainTrustBridge& bridge, TrustLevelTable& table) {
-    double t = 0.0;
-    for (int round = 0; round < 5; ++round) {
-      for (std::size_t cd = 0; cd < 2; ++cd) {
-        for (std::size_t rd = 0; rd < 2; ++rd) {
-          t += 1.0;
-          bridge.observe_client_side(cd, rd, 0, t, rd == 0 ? 5.5 : 2.0);
-          bridge.observe_resource_side(rd, cd, 0, t, 5.0);
-        }
-      }
-      bridge.refresh(table, t);
-    }
-  };
-  DomainTrustBridge legacy(TrustEngineConfig{}, 2, 2, 1);
-  DomainTrustBridge modern(
+TEST(DomainTrustBridge, EngineAccessRequiresTheGammaBackend) {
+  DomainTrustBridge gamma_bridge(
       make_reputation_policy("gamma", params_for(4, 1)), 2, 2, 1);
-  TrustLevelTable legacy_table(2, 2, 1);
-  TrustLevelTable modern_table(2, 2, 1);
-  feed(legacy, legacy_table);
-  feed(modern, modern_table);
-  for (std::size_t cd = 0; cd < 2; ++cd) {
-    for (std::size_t rd = 0; rd < 2; ++rd) {
-      EXPECT_EQ(legacy_table.get(cd, rd, 0), modern_table.get(cd, rd, 0));
-    }
-  }
-  // engine() keeps working on the gamma backend, and refuses elsewhere.
-  EXPECT_EQ(legacy.engine().transaction_count(),
-            modern.engine().transaction_count());
+  gamma_bridge.observe_client_side(0, 1, 0, 1.0, 5.0);
+  EXPECT_EQ(gamma_bridge.engine().transaction_count(), 1u);
   DomainTrustBridge beta_bridge(make_reputation_policy("beta", params_for(4, 1)),
                                 2, 2, 1);
   EXPECT_THROW((void)beta_bridge.engine(), PreconditionError);
@@ -583,7 +559,8 @@ TEST(SchedPolicyPricing, BridgeOverloadMatchesTheRefreshedTable) {
       for (std::size_t rd = 0; rd < n_rd; ++rd) {
         for (std::size_t act = 0; act < n_act; ++act) {
           t += 1.0;
-          bridge.observe_client_side(cd, rd, act, t, 4.0 + (rd % 2));
+          bridge.observe_client_side(cd, rd, act, t,
+                                     4.0 + static_cast<double>(rd % 2));
           bridge.observe_resource_side(rd, cd, act, t, 5.0);
         }
       }

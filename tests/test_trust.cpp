@@ -2,13 +2,15 @@
 // decay functions, alliances, the §2.2 trust engine, and the Fig. 1 agents.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "trust/agents.hpp"
-#include "trust/report.hpp"
 #include "trust/alliance.hpp"
 #include "trust/decay.hpp"
 #include "trust/ets.hpp"
+#include "trust/gamma_policy.hpp"
 #include "trust/trust_engine.hpp"
 #include "trust/trust_level.hpp"
 #include "trust/trust_table.hpp"
@@ -492,36 +494,21 @@ TEST(TrustEngine, PruneDropsStaleRecordsOnly) {
   EXPECT_EQ(engine.transaction_count(), 3u);
 }
 
-// ---------------------------------------------------------------- report
-
-TEST(TrustReport, RendersPerActivitySlice) {
-  TrustLevelTable table(2, 2, 2);
-  table.set(0, 0, 0, TrustLevel::kE);
-  table.set(0, 1, 0, TrustLevel::kB);
-  table.set(1, 0, 0, TrustLevel::kC);
-  const TextTable out = render_table(table, 0);
-  EXPECT_EQ(out.row_count(), 2u);
-  const std::string text = out.to_string();
-  EXPECT_NE(text.find("rd0"), std::string::npos);
-  EXPECT_NE(text.find("cd1"), std::string::npos);
-  EXPECT_NE(text.find("E"), std::string::npos);
-  EXPECT_THROW(render_table(table, 2), PreconditionError);
-}
-
-TEST(TrustReport, SummaryTakesTheMinimumAcrossActivities) {
-  TrustLevelTable table(1, 1, 3);
-  table.set(0, 0, 0, TrustLevel::kE);
-  table.set(0, 0, 1, TrustLevel::kB);
-  table.set(0, 0, 2, TrustLevel::kD);
-  const std::string text = render_table_summary(table).to_string();
-  // The pair cell must show B (the min), not E.
-  EXPECT_NE(text.find(" B "), std::string::npos);
-}
-
 // ---------------------------------------------------------------- agents
 
+/// A bridge whose agents form trust through the paper's Γ engine.
+DomainTrustBridge gamma_bridge(std::size_t client_domains,
+                               std::size_t resource_domains,
+                               std::size_t activities,
+                               std::uint64_t min_transactions = 3) {
+  return DomainTrustBridge(
+      std::make_unique<GammaReputationPolicy>(
+          TrustEngineConfig{}, client_domains + resource_domains, activities),
+      client_domains, resource_domains, activities, min_transactions);
+}
+
 TEST(DomainTrustBridge, EntityMappingIsDisjoint) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 3, 2, 4);
+  DomainTrustBridge bridge = gamma_bridge(3, 2, 4);
   EXPECT_EQ(bridge.cd_entity(0), 0u);
   EXPECT_EQ(bridge.cd_entity(2), 2u);
   EXPECT_EQ(bridge.rd_entity(0), 3u);
@@ -531,7 +518,7 @@ TEST(DomainTrustBridge, EntityMappingIsDisjoint) {
 }
 
 TEST(DomainTrustBridge, RefreshRequiresSignificantData) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 1, 1, 1, /*min_transactions=*/3);
+  DomainTrustBridge bridge = gamma_bridge(1, 1, 1, /*min_transactions=*/3);
   TrustLevelTable table(1, 1, 1);
   bridge.observe_client_side(0, 0, 0, 1.0, 5.0);
   bridge.observe_resource_side(0, 0, 0, 2.0, 5.0);
@@ -542,7 +529,7 @@ TEST(DomainTrustBridge, RefreshRequiresSignificantData) {
 }
 
 TEST(DomainTrustBridge, SymmetricQuantifierTakesTheMin) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 1, 1, 1, 1);
+  DomainTrustBridge bridge = gamma_bridge(1, 1, 1, 1);
   TrustLevelTable table(1, 1, 1);
   // Client thinks the resource is excellent; resource thinks the client is
   // poor -> the stored symmetric level must reflect the poor direction.
@@ -553,7 +540,7 @@ TEST(DomainTrustBridge, SymmetricQuantifierTakesTheMin) {
 }
 
 TEST(DomainTrustBridge, RefreshIsIdempotentWithoutNewData) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 2, 2, 2, 1);
+  DomainTrustBridge bridge = gamma_bridge(2, 2, 2, 1);
   TrustLevelTable table(2, 2, 2);
   bridge.observe_client_side(0, 1, 0, 1.0, 4.0);
   bridge.observe_resource_side(1, 0, 0, 1.0, 4.0);
@@ -562,7 +549,7 @@ TEST(DomainTrustBridge, RefreshIsIdempotentWithoutNewData) {
 }
 
 TEST(DomainTrustBridge, RefreshValidatesTableShape) {
-  DomainTrustBridge bridge(TrustEngineConfig{}, 2, 2, 2);
+  DomainTrustBridge bridge = gamma_bridge(2, 2, 2);
   TrustLevelTable wrong(1, 2, 2);
   EXPECT_THROW(bridge.refresh(wrong, 0.0), PreconditionError);
 }
