@@ -1,13 +1,14 @@
 // Extension bench: trust evolution in the scheduling loop (the paper's
-// stated future work).  An adaptive TRMS starts with a neutral trust table,
-// learns each domain's conduct from completed executions, and steers
+// stated future work).  An adaptive TRMS starts with an optimistic trust
+// table, learns each domain's conduct from completed executions, and steers
 // sensitive work away from a hostile domain; the non-adaptive control arm
-// keeps trusting it.
+// keeps trusting it.  Both arms are chaos campaigns on the same seed.
 #include <iostream>
 
+#include "chaos/campaign.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "sim/closed_loop.hpp"
+#include "support.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridtrust;
@@ -20,35 +21,24 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
-  // A fixed 3-RD Grid: exemplary, mediocre, and hostile resource domains.
-  Rng topo_rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 3;
-  params.max_client_domains = 3;
-  const grid::GridSystem grid = grid::make_random_grid(params, topo_rng);
-  const std::vector<sim::DomainBehavior> rd_conduct = {
-      {5.6, 0.4}, {3.4, 0.4}, {1.6, 0.4}};
-  const std::vector<sim::DomainBehavior> cd_conduct = {
-      {5.0, 0.3}, {5.0, 0.3}, {5.0, 0.3}};
+  // 3 RDs (exemplary, mediocre, hostile) and 3 CDs on 6 machines.
+  const sim::Scenario scenario =
+      bench::closed_loop_builder(3, {5.6, 3.4, 1.6}).build();
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-  sim::ClosedLoopConfig config;
+  chaos::CampaignRunConfig config;
   config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
   config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
-  // Optimistic prior: every domain starts fully trusted ("trust until
-  // proven otherwise"), so the adaptation is visible as misplacements drop.
-  config.initial_level = trust::TrustLevel::kE;
-
+  config.honest_cd_mean = 5.0;
+  config.conduct_sigma = 0.4;
+  // The loop starts every entry at E ("trust until proven otherwise"), so
+  // the adaptation is visible as misplacements drop.
   config.adaptive = true;
-  const sim::ClosedLoopResult adaptive = sim::run_closed_loop(
-      grid, rd_conduct, cd_conduct, config,
-      Rng(static_cast<std::uint64_t>(cli.get_int("seed"))));
+  const chaos::CampaignResult adaptive =
+      chaos::run_campaign(scenario, config, seed);
   config.adaptive = false;
-  const sim::ClosedLoopResult frozen = sim::run_closed_loop(
-      grid, rd_conduct, cd_conduct, config,
-      Rng(static_cast<std::uint64_t>(cli.get_int("seed"))));
+  const chaos::CampaignResult frozen =
+      chaos::run_campaign(scenario, config, seed);
 
   TextTable table({"round", "adaptive misplaced", "frozen misplaced",
                    "adaptive residual", "frozen residual",

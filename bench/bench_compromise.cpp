@@ -8,9 +8,11 @@
 // allows ("trust is built on past experiences").
 #include <iostream>
 
+#include "chaos/campaign.hpp"
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
-#include "sim/closed_loop.hpp"
+#include "support.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridtrust;
@@ -25,18 +27,21 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV instead of the ASCII table");
   cli.parse(argc, argv);
 
-  Rng topo_rng(static_cast<std::uint64_t>(cli.get_int("seed")));
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 2;
-  params.max_client_domains = 2;
-  const grid::GridSystem grid = grid::make_random_grid(params, topo_rng);
-  const std::vector<sim::DomainBehavior> rd_conduct = {
-      {5.6, 0.3}, {4.5, 0.3}, {4.5, 0.3}};
-  const std::vector<sim::DomainBehavior> cd_conduct = {{5.0, 0.3},
-                                                       {5.0, 0.3}};
+  const auto compromise =
+      static_cast<std::size_t>(cli.get_int("compromise-round"));
+  const auto remediation =
+      static_cast<std::size_t>(cli.get_int("remediation-round"));
+  GT_REQUIRE(compromise >= 1 && remediation > compromise,
+             "need 1 <= compromise-round < remediation-round");
+  // rd0 is an on-off domain: honest (5.6) until the compromise, hostile
+  // (1.4) until the remediation, then honest again.
+  sim::Scenario scenario =
+      bench::closed_loop_builder(2, {5.6, 4.5, 4.5}).build();
+  chaos::AdversarySpec& rd0 = scenario.chaos.adversaries[0];
+  rd0.kind = chaos::BehaviorKind::kOscillating;
+  rd0.malicious_mean = 1.4;
+  rd0.rounds_on = compromise;
+  rd0.rounds_off = remediation - compromise;
 
   TextTable table({"round", "lr=0.1 exposure", "lr=0.3 exposure",
                    "lr=0.6 exposure", "lr=0.3 level of rd0"});
@@ -47,20 +52,16 @@ int main(int argc, char** argv) {
       " (uncovered exposure by EWMA learning rate)");
 
   const std::vector<double> rates = {0.1, 0.3, 0.6};
-  std::vector<sim::ClosedLoopResult> runs;
+  std::vector<chaos::CampaignResult> runs;
   for (const double lr : rates) {
-    sim::ClosedLoopConfig config;
+    chaos::CampaignRunConfig config;
     config.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
     config.tasks_per_round = static_cast<std::size_t>(cli.get_int("tasks"));
-    config.initial_level = trust::TrustLevel::kE;
+    config.honest_cd_mean = 5.0;
+    config.conduct_sigma = 0.3;
     config.engine.learning_rate = lr;
-    config.conduct_changes.push_back(
-        {static_cast<std::size_t>(cli.get_int("compromise-round")), 0, 1.4});
-    config.conduct_changes.push_back(
-        {static_cast<std::size_t>(cli.get_int("remediation-round")), 0, 5.6});
-    runs.push_back(sim::run_closed_loop(
-        grid, rd_conduct, cd_conduct, config,
-        Rng(static_cast<std::uint64_t>(cli.get_int("seed")))));
+    runs.push_back(chaos::run_campaign(
+        scenario, config, static_cast<std::uint64_t>(cli.get_int("seed"))));
   }
 
   // The lr=0.3 run's learned level for rd0 is recomputed per round from

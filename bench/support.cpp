@@ -45,6 +45,15 @@ sim::Scenario scenario_from_flags(const CliParser& cli) {
   return builder_from_flags(cli).build();
 }
 
+sim::ScenarioBuilder closed_loop_builder(
+    std::size_t client_domains, const std::vector<double>& rd_conduct) {
+  return sim::ScenarioBuilder()
+      .machines(6)
+      .client_domains(client_domains, client_domains)
+      .resource_domains(rd_conduct.size(), rd_conduct.size())
+      .with_adversaries(chaos::pinned_rd_conduct(rd_conduct));
+}
+
 void add_lab_flags(CliParser& cli) {
   cli.add_int("replications", 0,
               "replication-count override (0 = the spec's own)");

@@ -12,9 +12,14 @@
 //   * Scenario benches that explore parameters no catalog spec fixes keep
 //     the original flag set: `add_common_flags` + `builder_from_flags` /
 //     `scenario_from_flags`.
+//
+//   * Closed-loop benches run chaos campaigns on a small fixed-shape Grid
+//     whose resource domains are pinned to known conduct:
+//     `closed_loop_builder`.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "lab/engine.hpp"
@@ -34,6 +39,12 @@ sim::ScenarioBuilder builder_from_flags(const CliParser& cli);
 
 /// Builds the base scenario for Tables 4-9 from parsed flags.
 sim::Scenario scenario_from_flags(const CliParser& cli);
+
+/// A closed-loop campaign scenario: 6 machines, `client_domains` CDs, and
+/// one RD per entry of `rd_conduct`, pinned to that latent conduct mean
+/// (chaos::pinned_rd_conduct).
+sim::ScenarioBuilder closed_loop_builder(std::size_t client_domains,
+                                         const std::vector<double>& rd_conduct);
 
 /// Registers the flags shared by every catalog-backed bench: engine
 /// overrides (--replications, --seed, --jobs, --cache-dir), output

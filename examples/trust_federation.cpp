@@ -7,12 +7,13 @@
 // the recommender trust factor R contains the damage, and the scheduler's
 // view of the offered trust levels tracks actual conduct.
 #include <iostream>
+#include <memory>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "trust/agents.hpp"
-#include "trust/reputation_registry.hpp"
+#include "trust/gamma_policy.hpp"
 
 int main(int argc, char** argv) {
   using namespace gridtrust;
@@ -29,17 +30,18 @@ int main(int argc, char** argv) {
   //   rd0 exemplary (5.8), rd1 mediocre (3.2), rd2 hostile (1.3).
   const double conduct[3] = {5.8, 3.2, 1.3};
 
-  trust::ReputationParams params;
-  params.entities = 4 + 3;
-  params.contexts = 1;
-  params.gamma.alpha = 0.6;
-  params.gamma.beta = 0.4;
-  params.gamma.learning_rate = 0.25;
-  params.gamma.learn_recommender_weights = true;
-  params.gamma.decay = trust::make_exponential_decay(500.0);
-  trust::DomainTrustBridge bridge(
-      trust::make_reputation_policy("gamma", params), 4, 3, 1,
-      /*min_transactions=*/3);
+  trust::TrustEngineConfig engine_config;
+  engine_config.alpha = 0.6;
+  engine_config.beta = 0.4;
+  engine_config.learning_rate = 0.25;
+  engine_config.learn_recommender_weights = true;
+  engine_config.decay = trust::make_exponential_decay(500.0);
+  // The Γ engine stays reachable for the recommender-factor readout below.
+  auto policy = std::make_unique<trust::GammaReputationPolicy>(
+      engine_config, 4 + 3, 1);
+  const trust::TrustEngine& engine = policy->engine();
+  trust::DomainTrustBridge bridge(std::move(policy), 4, 3, 1,
+                                  /*min_transactions=*/3);
 
   // Client domain 3 is in an alliance with hostile rd2 and will praise it.
   bridge.policy().alliance_graph()->ally(bridge.cd_entity(3),
@@ -80,9 +82,9 @@ int main(int argc, char** argv) {
   }
 
   // How much influence did the colluder retain?
-  const double r_colluder = bridge.engine().recommender_factor(
+  const double r_colluder = engine.recommender_factor(
       bridge.cd_entity(0), bridge.cd_entity(3), bridge.rd_entity(2));
-  const double r_honest = bridge.engine().recommender_factor(
+  const double r_honest = engine.recommender_factor(
       bridge.cd_entity(0), bridge.cd_entity(1), bridge.rd_entity(2));
   std::cout << "recommender factor R as seen by cd0: colluding cd3 = "
             << format_grouped(r_colluder, 3) << ", honest cd1 = "

@@ -54,6 +54,19 @@ void validate_spec(const AdversarySpec& spec) {
   }
 }
 
+std::vector<AdversarySpec> pinned_rd_conduct(
+    const std::vector<double>& means) {
+  std::vector<AdversarySpec> specs(means.size());
+  for (std::size_t rd = 0; rd < means.size(); ++rd) {
+    specs[rd].domain = rd;
+    specs[rd].kind = means[rd] < 3.0 ? BehaviorKind::kMalicious
+                                     : BehaviorKind::kHonest;
+    specs[rd].honest_mean = means[rd];
+    specs[rd].malicious_mean = means[rd];
+  }
+  return specs;
+}
+
 BehaviorEngine::BehaviorEngine(std::vector<AdversarySpec> specs,
                                std::size_t resource_domains,
                                std::size_t client_domains)

@@ -129,6 +129,11 @@ class BehaviorEngine {
   std::vector<std::size_t> cd_index_;
 };
 
+/// One resource-domain spec per entry of `means`, pinning RD i to conduct
+/// means[i]: kMalicious below 3 on the trust scale, kHonest otherwise.  The
+/// closed-loop experiments build their known-conduct Grids from these.
+std::vector<AdversarySpec> pinned_rd_conduct(const std::vector<double>& means);
+
 /// Validates one spec's parameter ranges (means on [1, 6], phase lengths
 /// >= 1, threshold on [1, 6]); throws PreconditionError on violations.
 /// Exposed so CampaignConfig::validate can run without a drawn grid.

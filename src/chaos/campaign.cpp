@@ -1,5 +1,7 @@
 #include "chaos/campaign.hpp"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -40,7 +42,8 @@ CampaignResult run_campaign(const sim::Scenario& scenario,
   sim::CampaignStages stages;
   stages.round_event = "chaos_round";
   // Schedule the round, then price the placements against true conduct
-  // (what they actually expose) and against the table (what it believed).
+  // (what they actually expose) and against the priced table (what it
+  // believed), and measure the exposure the table left uncovered.
   stages.clear = [&](sim::CampaignRound& round) {
     kCampaignRounds.add();
     metrics = CampaignRoundMetrics{};
@@ -52,19 +55,54 @@ CampaignResult run_campaign(const sim::Scenario& scenario,
     const sched::SecurityCostModel& model = round.problem.security_model();
     double true_tc_sum = 0.0;
     double table_tc_sum = 0.0;
+    double exposure_sum = 0.0;
+    double honest_exposure_sum = 0.0;
+    std::size_t honest_requests = 0;
+    std::size_t sensitive = 0;
+    std::size_t misplaced = 0;
     for (std::size_t r = 0; r < round.requests.size(); ++r) {
+      const grid::Request& request = round.requests[r];
       const std::size_t m = trms.schedule.machine_of[r];
+      const grid::ResourceDomainId rd = round.grid.domain_of_machine(m);
       const double rd_mean = round.behavior.rd_conduct_mean(
-          round.grid.domain_of_machine(m), round.index, config.honest_rd_mean);
+          rd, round.index, config.honest_rd_mean);
+      const trust::TrustLevel rtl = request.effective_rtl();
       const trust::TrustLevel true_offered = trust::min_level(
           trust::quantize_level(rd_mean), trust::kMaxOfferedLevel);
-      true_tc_sum += static_cast<double>(
-          model.trust_cost(round.requests[r].effective_rtl(), true_offered));
+      true_tc_sum += static_cast<double>(model.trust_cost(rtl, true_offered));
       table_tc_sum += static_cast<double>(round.problem.trust_cost(r, m));
+
+      // The supplement covers RTL - OTL_table, so whatever trust the priced
+      // table over-credits relative to true conduct stays unprotected.
+      const trust::TrustLevel believed = round.priced.offered_trust_level(
+          request.client_domain, rd,
+          std::span<const std::size_t>(request.activities));
+      const int covered =
+          std::min(trust::to_numeric(rtl), trust::to_numeric(believed));
+      const double residual =
+          std::max(0.0, static_cast<double>(covered) - rd_mean);
+      exposure_sum += residual;
+      if (!round.behavior.adversarial_cd(request.client_domain)) {
+        honest_exposure_sum += residual;
+        ++honest_requests;
+      }
+      if (trust::to_numeric(rtl) >= trust::to_numeric(trust::TrustLevel::kD)) {
+        ++sensitive;
+        if (rd_mean < 3.0) ++misplaced;
+      }
     }
     const auto n = static_cast<double>(round.requests.size());
     metrics.mean_true_trust_cost = true_tc_sum / n;
     metrics.mean_table_trust_cost = table_tc_sum / n;
+    metrics.mean_residual_exposure = exposure_sum / n;
+    metrics.mean_residual_exposure_honest =
+        honest_requests == 0
+            ? 0.0
+            : honest_exposure_sum / static_cast<double>(honest_requests);
+    metrics.misplaced_sensitive_fraction =
+        sensitive == 0 ? 0.0
+                       : static_cast<double>(misplaced) /
+                             static_cast<double>(sensitive);
     return trms.schedule.machine_of;
   };
   // Misclassification against ground truth, post-refresh/reset.

@@ -49,6 +49,19 @@ struct CampaignRoundMetrics {
   std::size_t table_updates = 0;
   /// Machines inside a crash window when the round was scheduled.
   std::size_t machines_down = 0;
+  /// Fraction of sensitive requests (effective RTL >= D) placed on domains
+  /// whose true conduct is below 3 ("misplaced" work).
+  double misplaced_sensitive_fraction = 0.0;
+  /// Mean residual (uncovered) exposure: the ETS supplement protects the
+  /// gap between RTL and the priced table's offered level, so whatever
+  /// trust the table over-credits relative to true conduct stays
+  /// unprotected: residual = max(0, min(RTL, OTL_table) - true conduct).
+  /// This is the quantity an adaptive table drives to zero.
+  double mean_residual_exposure = 0.0;
+  /// Residual exposure over requests from honest (non-adversarial) client
+  /// domains only; equal to mean_residual_exposure without client-side
+  /// adversaries.  The victim-side metric of collusion studies.
+  double mean_residual_exposure_honest = 0.0;
 };
 
 /// Outcome of one campaign.

@@ -1,6 +1,7 @@
 #include "sim/campaign_loop.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 
 #include "common/error.hpp"
@@ -102,10 +103,13 @@ CampaignLoopResult run_campaign_loop(const Scenario& scenario,
   for (std::size_t rd = 0; rd < n_rd; ++rd) {
     reset_domain(table, rd, config.initial_level);
   }
+  trust::ReputationParams params;
+  params.entities = n_cd + n_rd;
+  params.contexts = n_act;
+  params.gamma = config.engine;
   trust::DomainTrustBridge bridge(
-      trust::make_reputation_policy(scenario.reputation, config.engine,
-                                    n_cd + n_rd, n_act),
-      n_cd, n_rd, n_act, config.min_transactions);
+      trust::make_reputation_policy(scenario.reputation.name, params), n_cd,
+      n_rd, n_act, config.min_transactions);
   // Register collusive alliances so the recommender factor R can discount
   // ballot-stuffed recommendations (§2.2's collusion defence).  Backends
   // without an alliance notion (beta, fuzzy) face the same forged stream
@@ -129,6 +133,13 @@ CampaignLoopResult run_campaign_loop(const Scenario& scenario,
   chaos::ChaosCounters& counters = result.counters;
   // Reports held back by delay faults, keyed by delivery round.
   std::map<std::size_t, std::vector<PendingReport>> delayed;
+  // Stale read replicas, oldest first: the front prices this round, and
+  // the master is pushed at the end of every round.  Empty when rounds
+  // read the master directly.
+  std::deque<trust::TrustLevelTable> replicas;
+  if (config.replica_staleness_rounds > 0) {
+    replicas.assign(config.replica_staleness_rounds + 1, table);
+  }
   double clock = 0.0;  // transaction clock, monotone across rounds
 
   const auto run_round = [&](std::size_t round) {
@@ -160,7 +171,9 @@ CampaignLoopResult run_campaign_loop(const Scenario& scenario,
         eec.at(r, m) = cost;
       }
     }
-    auto tc = sched::compute_trust_costs(grid, requests, table, model);
+    const trust::TrustLevelTable& priced =
+        replicas.empty() ? table : replicas.front();
+    auto tc = sched::compute_trust_costs(grid, requests, priced, model);
     std::vector<double> arrivals;
     arrivals.reserve(requests.size());
     for (const auto& r : requests) arrivals.push_back(r.arrival_time);
@@ -168,7 +181,7 @@ CampaignLoopResult run_campaign_loop(const Scenario& scenario,
                                            policy, model, std::move(arrivals));
 
     CampaignRound view{round, grid, behavior, injector, requests, problem,
-                       table};
+                       priced, table};
     const std::vector<std::size_t> placement = stages.clear(view);
     GT_REQUIRE(placement.size() == requests.size(),
                "the clearing stage must place every request or reject it");
@@ -237,6 +250,10 @@ CampaignLoopResult run_campaign_loop(const Scenario& scenario,
     }
 
     stages.end_round(view);
+    if (!replicas.empty()) {
+      replicas.pop_front();
+      replicas.push_back(table);
+    }
   };
 
   for (std::size_t round = 0; round < config.rounds; ++round) {

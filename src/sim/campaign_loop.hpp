@@ -57,6 +57,11 @@ struct CampaignLoopConfig {
   trust::TrustLevel initial_level = trust::TrustLevel::kE;
   /// Observations required before an agent may update a table entry.
   std::uint64_t min_transactions = 3;
+  /// Read-replica staleness: §3.1 lets the central table be "replicated at
+  /// different domains for reading purposes".  Round k is priced against
+  /// the master table as of round k - replica_staleness_rounds (0 = the
+  /// master itself); agents always write the master.
+  std::size_t replica_staleness_rounds = 0;
   trust::TrustEngineConfig engine;
   /// Latent conduct means of domains without an adversary spec.
   double honest_rd_mean = 5.4;
@@ -75,8 +80,11 @@ struct CampaignRound {
   std::vector<grid::Request>& requests;
   /// The fault-perturbed, table-priced instance of `requests`.
   const sched::SchedulingProblem& problem;
-  /// The live table: as priced during clearing, refreshed and whitewashed
-  /// by the time the round-end stage runs.
+  /// The replica `problem` was priced against (the master table itself
+  /// when replica_staleness_rounds is 0).
+  const trust::TrustLevelTable& priced;
+  /// The live master table: refreshed and whitewashed by the time the
+  /// round-end stage runs.
   const trust::TrustLevelTable& table;
   /// Entries the refresh rewrote (0 until then, and when not adaptive).
   std::size_t table_updates = 0;

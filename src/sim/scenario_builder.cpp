@@ -127,10 +127,8 @@ ScenarioBuilder& ScenarioBuilder::with_campaign(chaos::CampaignConfig config) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::with_reputation_backend(
-    std::string name, std::map<std::string, double> params) {
+ScenarioBuilder& ScenarioBuilder::with_reputation_backend(std::string name) {
   scenario_.reputation.name = std::move(name);
-  scenario_.reputation.params = std::move(params);
   return *this;
 }
 

@@ -1,7 +1,6 @@
 #include "trust/agents.hpp"
 
 #include "common/error.hpp"
-#include "trust/gamma_policy.hpp"
 
 namespace gridtrust::trust {
 
@@ -80,22 +79,6 @@ std::size_t DomainTrustBridge::refresh(TrustLevelTable& table,
     }
   }
   return updated;
-}
-
-TrustEngine& DomainTrustBridge::engine() {
-  auto* gamma = dynamic_cast<GammaReputationPolicy*>(policy_.get());
-  GT_REQUIRE(gamma != nullptr,
-             "engine() requires the gamma backend; this bridge runs \"" +
-                 policy_->name() + "\"");
-  return gamma->engine();
-}
-
-const TrustEngine& DomainTrustBridge::engine() const {
-  const auto* gamma = dynamic_cast<const GammaReputationPolicy*>(policy_.get());
-  GT_REQUIRE(gamma != nullptr,
-             "engine() requires the gamma backend; this bridge runs \"" +
-                 policy_->name() + "\"");
-  return gamma->engine();
 }
 
 }  // namespace gridtrust::trust

@@ -22,7 +22,6 @@
 #include <memory>
 
 #include "trust/reputation_policy.hpp"
-#include "trust/trust_engine.hpp"
 #include "trust/trust_table.hpp"
 
 namespace gridtrust::trust {
@@ -70,12 +69,6 @@ class DomainTrustBridge {
   /// The backend forming trust for this bridge.
   ReputationPolicy& policy() { return *policy_; }
   const ReputationPolicy& policy() const { return *policy_; }
-
-  /// Γ-engine access for callers needing gamma-specific features (alliance
-  /// wiring, recommender learning).  Requires the backend to be "gamma";
-  /// use policy() for backend-agnostic access.
-  TrustEngine& engine();
-  const TrustEngine& engine() const;
 
  private:
   std::size_t n_cd_;

@@ -1,27 +1,68 @@
 #include "trust/beta_policy.hpp"
 
+#include <cmath>
+
+#include "common/error.hpp"
+
 namespace gridtrust::trust {
 
 BetaReputationPolicy::BetaReputationPolicy(BetaReputationConfig config,
                                            std::size_t entities,
                                            std::size_t contexts)
-    : engine_(config, entities, contexts) {}
+    : config_(config), entities_(entities), contexts_(contexts) {
+  GT_REQUIRE(entities > 0, "need at least one entity");
+  GT_REQUIRE(contexts > 0, "need at least one context");
+}
 
 const std::string& BetaReputationPolicy::name() const {
   static const std::string kName = "beta";
   return kName;
 }
 
+void BetaReputationPolicy::age(Evidence& e, double now) const {
+  GT_REQUIRE(now >= e.last_time, "time went backwards");
+  if (config_.evidence_half_life > 0.0) {
+    const double factor =
+        std::exp2(-(now - e.last_time) / config_.evidence_half_life);
+    e.positive *= factor;
+    e.negative *= factor;
+  }
+  e.last_time = now;
+}
+
+std::optional<BetaReputationPolicy::Evidence> BetaReputationPolicy::aged_pool(
+    EntityId target, ContextId context, double now) const {
+  GT_REQUIRE(target < entities_, "entity id out of range");
+  GT_REQUIRE(context < contexts_, "context id out of range");
+  const auto it = pool_.find(Key{target, context});
+  if (it == pool_.end()) return std::nullopt;
+  Evidence aged = it->second;
+  age(aged, now);
+  return aged;
+}
+
 void BetaReputationPolicy::record_transaction(const Transaction& tx) {
-  engine_.record_transaction(tx);
+  GT_REQUIRE(tx.truster < entities_ && tx.trustee < entities_,
+             "entity id out of range");
+  GT_REQUIRE(tx.context < contexts_, "context id out of range");
+  GT_REQUIRE(tx.truster != tx.trustee, "an entity cannot rate itself");
+  GT_REQUIRE(tx.observed_score >= 1.0 && tx.observed_score <= 6.0,
+             "observed score must be on the [1, 6] scale");
+  Evidence& e = pool_[Key{tx.trustee, tx.context}];
+  age(e, tx.time);
+  const double p = (tx.observed_score - 1.0) / 5.0;
+  e.positive += p;
+  e.negative += 1.0 - p;
+  ++tx_count_;
   ++stream_counts_[StreamKey{tx.truster, tx.trustee, tx.context}];
 }
 
 double BetaReputationPolicy::evaluate(EntityId truster, EntityId trustee,
                                       ContextId context, double now) const {
-  (void)truster;  // the pooled opinion is evaluator-independent
   ++evaluations_;
-  return engine_.reputation_score(trustee, context, now);
+  // The pooled opinion is evaluator-independent.
+  return reputation_component(truster, trustee, context, now)
+      .value_or(stranger_default());
 }
 
 std::optional<double> BetaReputationPolicy::direct_component(
@@ -36,27 +77,28 @@ std::optional<double> BetaReputationPolicy::direct_component(
 std::optional<double> BetaReputationPolicy::reputation_component(
     EntityId evaluator, EntityId target, ContextId context, double now) const {
   (void)evaluator;
-  if (!engine_.evidence(target, context, now)) return std::nullopt;
-  return engine_.reputation_score(target, context, now);
+  const std::optional<Evidence> ev = aged_pool(target, context, now);
+  if (!ev) return std::nullopt;
+  const double expectation =
+      (ev->positive + 1.0) / (ev->positive + ev->negative + 2.0);
+  return 1.0 + 5.0 * expectation;
 }
 
 std::uint64_t BetaReputationPolicy::observation_count(
     EntityId truster, EntityId trustee, ContextId context) const {
-  const auto it =
-      stream_counts_.find(StreamKey{truster, trustee, context});
+  const auto it = stream_counts_.find(StreamKey{truster, trustee, context});
   return it != stream_counts_.end() ? it->second : 0;
 }
 
 std::size_t BetaReputationPolicy::forget(EntityId entity) {
-  std::size_t removed = engine_.forget(entity);
-  for (auto it = stream_counts_.begin(); it != stream_counts_.end();) {
-    if (std::get<0>(it->first) == entity || std::get<1>(it->first) == entity) {
-      it = stream_counts_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
+  GT_REQUIRE(entity < entities_, "entity id out of range");
+  std::size_t removed = std::erase_if(pool_, [entity](const auto& item) {
+    return item.first.target == entity;
+  });
+  removed += std::erase_if(stream_counts_, [entity](const auto& item) {
+    return std::get<0>(item.first) == entity ||
+           std::get<1>(item.first) == entity;
+  });
   return removed;
 }
 

@@ -1,33 +1,8 @@
 #include "trust/reputation_policy.hpp"
 
-#include <cstddef>
 #include <string>
 
-#include "common/error.hpp"
-
 namespace gridtrust::trust {
-
-void ReputationBackendConfig::set_override(const std::string& assignment) {
-  const std::size_t eq = assignment.find('=');
-  GT_REQUIRE(eq != std::string::npos,
-             "reputation override '" + assignment +
-                 "': expected key=value (e.g. purge.deviation_threshold=2)");
-  const std::string key = assignment.substr(0, eq);
-  const std::string text = assignment.substr(eq + 1);
-  GT_REQUIRE(!key.empty(),
-             "reputation override '" + assignment + "': empty key");
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  GT_REQUIRE(!text.empty() && consumed == text.size(),
-             "reputation override '" + assignment + "': value '" + text +
-                 "' is not a number");
-  params[key] = value;
-}
 
 void ReputationPolicy::record_recommendation(const Recommendation& rec) {
   // RTT == DTT (§2.2's practical-systems assumption): a recommendation is

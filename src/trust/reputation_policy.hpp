@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -51,30 +50,14 @@ struct Recommendation {
   double score = 0.0;
 };
 
-/// Backend selection as plain data: a registry name plus numeric tuning
-/// overrides ("purge.deviation_threshold", "fuzzy.learning_rate", ...).
-/// Rides inside sim::Scenario so a sweep can treat the backend like any
-/// other parameter.  The default selects the paper's Γ model untouched —
-/// results stay bit-identical to the pre-interface engine.
+/// Backend selection as plain data: a registry name.  Rides inside
+/// sim::Scenario so a sweep can treat the backend like any other
+/// parameter.  The default selects the paper's Γ model untouched — results
+/// stay bit-identical to the pre-interface engine.
 struct ReputationBackendConfig {
   /// Registry name: "gamma", "beta", "fuzzy", or a purge composite such as
   /// "purge:gamma" (see reputation_registry.hpp).
   std::string name = "gamma";
-  /// Numeric knob overrides applied to the backend's typed config before
-  /// construction; unknown keys are rejected.  Ordered map: iteration
-  /// feeds content hashes and must be deterministic.
-  std::map<std::string, double> params;
-
-  /// True when the config selects the default Γ backend untouched.
-  bool is_default() const { return name == "gamma" && params.empty(); }
-
-  /// Parses one "key=value" override from untyped text (CLI flags, sweep
-  /// axis values) into `params`.  The key is the dotted knob name
-  /// ("purge.deviation_threshold"); the value must parse fully as a
-  /// number.  Throws PreconditionError naming the override on a missing
-  /// '=', an empty key, or a non-numeric value.  Key validity itself is
-  /// checked later, at policy construction, where the backend is known.
-  void set_override(const std::string& assignment);
 };
 
 /// Abstract reputation backend.  Implementations are not thread-safe; each

@@ -1,51 +1,48 @@
-// Tests for the closed-loop TRMS (trust evolution in the scheduling loop).
+// Tests for the closed-loop TRMS (trust evolution in the scheduling loop),
+// run as chaos campaigns whose resource domains are pinned to known
+// conduct.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
+#include "chaos/campaign.hpp"
 #include "common/error.hpp"
-#include "sim/closed_loop.hpp"
-#include "sim/experiment.hpp"
-#include "trust/serialization.hpp"
+#include "sim/scenario_builder.hpp"
 
-namespace gridtrust::sim {
+namespace gridtrust::chaos {
 namespace {
 
-grid::GridSystem three_rd_grid(std::uint64_t seed = 5) {
-  Rng rng(seed);
-  grid::RandomGridParams params;
-  params.machines = 6;
-  params.min_resource_domains = 3;
-  params.max_resource_domains = 3;
-  params.min_client_domains = 2;
-  params.max_client_domains = 2;
-  return grid::make_random_grid(params, rng);
+/// A 6-machine Grid with 2 client domains and one resource domain per
+/// entry of `rd_conduct`, each pinned to that conduct mean.
+sim::Scenario pinned_scenario(
+    const std::vector<double>& rd_conduct = {5.6, 3.4, 1.6}) {
+  return sim::ScenarioBuilder()
+      .machines(6)
+      .client_domains(2, 2)
+      .resource_domains(rd_conduct.size(), rd_conduct.size())
+      .with_adversaries(pinned_rd_conduct(rd_conduct))
+      .build();
 }
 
-std::vector<DomainBehavior> rd_conduct() {
-  return {{5.6, 0.3}, {3.4, 0.3}, {1.6, 0.3}};
-}
-
-std::vector<DomainBehavior> cd_conduct() { return {{5.0, 0.3}, {5.0, 0.3}}; }
-
-ClosedLoopConfig small_config(bool adaptive) {
-  ClosedLoopConfig config;
+CampaignRunConfig small_config(bool adaptive) {
+  CampaignRunConfig config;
   config.rounds = 8;
   config.tasks_per_round = 30;
   config.adaptive = adaptive;
   config.initial_level = trust::TrustLevel::kE;
+  config.honest_cd_mean = 5.0;
+  config.conduct_sigma = 0.3;
   return config;
 }
 
 TEST(ClosedLoop, RunsAllRoundsAndCountsTransactions) {
-  const grid::GridSystem grid = three_rd_grid();
-  const ClosedLoopResult result = run_closed_loop(
-      grid, rd_conduct(), cd_conduct(), small_config(true), Rng(1));
+  const CampaignResult result =
+      run_campaign(pinned_scenario(), small_config(true), 1);
   ASSERT_EQ(result.rounds.size(), 8u);
   for (std::size_t i = 0; i < result.rounds.size(); ++i) {
     EXPECT_EQ(result.rounds[i].round, i);
     EXPECT_GT(result.rounds[i].makespan, 0.0);
-    EXPECT_GE(result.rounds[i].mean_chosen_tc, 0.0);
+    EXPECT_GE(result.rounds[i].mean_table_trust_cost, 0.0);
   }
   // Every request generates one client-side and one resource-side
   // transaction per activity; activities are 1-4 per request.
@@ -54,14 +51,11 @@ TEST(ClosedLoop, RunsAllRoundsAndCountsTransactions) {
 }
 
 TEST(ClosedLoop, FrozenArmNeverTouchesTheTable) {
-  const grid::GridSystem grid = three_rd_grid();
-  const ClosedLoopResult result = run_closed_loop(
-      grid, rd_conduct(), cd_conduct(), small_config(false), Rng(1));
+  const CampaignResult result =
+      run_campaign(pinned_scenario(), small_config(false), 1);
   EXPECT_EQ(result.transactions, 0u);
-  for (const RoundMetrics& round : result.rounds) {
+  for (const CampaignRoundMetrics& round : result.rounds) {
     EXPECT_EQ(round.table_updates, 0u);
-    // With an all-E table and no learning, chosen TC derives purely from
-    // RTL - E gaps.
   }
   for (std::size_t rd = 0; rd < 3; ++rd) {
     EXPECT_EQ(result.final_table.get(0, rd, 0), trust::TrustLevel::kE);
@@ -69,11 +63,9 @@ TEST(ClosedLoop, FrozenArmNeverTouchesTheTable) {
 }
 
 TEST(ClosedLoop, LearnsTheConductOrdering) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
+  CampaignRunConfig config = small_config(true);
   config.rounds = 10;
-  const ClosedLoopResult result =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(2));
+  const CampaignResult result = run_campaign(pinned_scenario(), config, 2);
   const int learned0 = trust::to_numeric(result.final_table.get(0, 0, 0));
   const int learned1 = trust::to_numeric(result.final_table.get(0, 1, 0));
   const int learned2 = trust::to_numeric(result.final_table.get(0, 2, 0));
@@ -84,14 +76,11 @@ TEST(ClosedLoop, LearnsTheConductOrdering) {
 }
 
 TEST(ClosedLoop, AdaptationReducesResidualExposure) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
+  CampaignRunConfig config = small_config(true);
   config.rounds = 10;
-  const ClosedLoopResult adaptive =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(3));
+  const CampaignResult adaptive = run_campaign(pinned_scenario(), config, 3);
   config.adaptive = false;
-  const ClosedLoopResult frozen =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(3));
+  const CampaignResult frozen = run_campaign(pinned_scenario(), config, 3);
   // Identical first round (the table has not been refreshed yet).
   EXPECT_NEAR(adaptive.rounds[0].mean_residual_exposure,
               frozen.rounds[0].mean_residual_exposure, 1e-9);
@@ -107,10 +96,9 @@ TEST(ClosedLoop, AdaptationReducesResidualExposure) {
 }
 
 TEST(ClosedLoop, ResidualExposureIsNonNegative) {
-  const grid::GridSystem grid = three_rd_grid();
-  const ClosedLoopResult result = run_closed_loop(
-      grid, rd_conduct(), cd_conduct(), small_config(true), Rng(4));
-  for (const RoundMetrics& round : result.rounds) {
+  const CampaignResult result =
+      run_campaign(pinned_scenario(), small_config(true), 4);
+  for (const CampaignRoundMetrics& round : result.rounds) {
     EXPECT_GE(round.mean_residual_exposure, 0.0);
     EXPECT_GE(round.misplaced_sensitive_fraction, 0.0);
     EXPECT_LE(round.misplaced_sensitive_fraction, 1.0);
@@ -118,11 +106,10 @@ TEST(ClosedLoop, ResidualExposureIsNonNegative) {
 }
 
 TEST(ClosedLoop, DeterministicForSeed) {
-  const grid::GridSystem grid = three_rd_grid();
-  const ClosedLoopResult a = run_closed_loop(
-      grid, rd_conduct(), cd_conduct(), small_config(true), Rng(9));
-  const ClosedLoopResult b = run_closed_loop(
-      grid, rd_conduct(), cd_conduct(), small_config(true), Rng(9));
+  const CampaignResult a =
+      run_campaign(pinned_scenario(), small_config(true), 9);
+  const CampaignResult b =
+      run_campaign(pinned_scenario(), small_config(true), 9);
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_EQ(a.rounds[i].makespan, b.rounds[i].makespan);
@@ -132,56 +119,21 @@ TEST(ClosedLoop, DeterministicForSeed) {
 }
 
 TEST(ClosedLoop, BatchModeWorksInTheLoop) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
-  config.rms.mode = SchedulingMode::kBatch;
-  config.rms.heuristic = "sufferage";
-  const ClosedLoopResult result =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(5));
+  sim::Scenario scenario = pinned_scenario();
+  scenario.rms.mode = sim::SchedulingMode::kBatch;
+  scenario.rms.heuristic = "sufferage";
+  const CampaignRunConfig config = small_config(true);
+  const CampaignResult result = run_campaign(scenario, config, 5);
   EXPECT_EQ(result.rounds.size(), config.rounds);
   EXPECT_GT(result.transactions, 0u);
 }
 
-TEST(ClosedLoop, PerActivityConductIsLearnedPerToa) {
-  // One resource domain is excellent at activity 0 but hostile at activity
-  // 1; the per-ToA trust table must learn the difference.
-  const grid::GridSystem grid = three_rd_grid();
-  std::vector<DomainBehavior> rds = rd_conduct();
-  rds[0].mean = 5.5;
-  rds[0].sigma = 0.2;
-  rds[0].activity_mean[1] = 1.4;  // hostile for ToA 1 only
-  ClosedLoopConfig config = small_config(true);
-  config.rounds = 12;
-  config.requests.min_activities = 1;
-  config.requests.max_activities = 2;
-  const ClosedLoopResult result =
-      run_closed_loop(grid, rds, cd_conduct(), config, Rng(6));
-  const int level_act0 = trust::to_numeric(result.final_table.get(0, 0, 0));
-  const int level_act1 = trust::to_numeric(result.final_table.get(0, 0, 1));
-  EXPECT_GT(level_act0, level_act1);
-  EXPECT_LE(level_act1, 2);
-}
-
-TEST(DomainBehavior, WorstMeanAndOverrides) {
-  DomainBehavior behavior;
-  behavior.mean = 5.0;
-  behavior.activity_mean[2] = 1.5;
-  EXPECT_EQ(behavior.mean_for(0), 5.0);
-  EXPECT_EQ(behavior.mean_for(2), 1.5);
-  EXPECT_EQ(behavior.worst_mean({0, 1}), 5.0);
-  EXPECT_EQ(behavior.worst_mean({0, 2}), 1.5);
-  EXPECT_THROW(behavior.worst_mean({}), PreconditionError);
-}
-
 TEST(ClosedLoop, ReplicaStalenessDelaysButDoesNotPreventAdaptation) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
+  CampaignRunConfig config = small_config(true);
   config.rounds = 12;
-  const ClosedLoopResult fresh =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(8));
+  const CampaignResult fresh = run_campaign(pinned_scenario(), config, 8);
   config.replica_staleness_rounds = 4;
-  const ClosedLoopResult stale =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(8));
+  const CampaignResult stale = run_campaign(pinned_scenario(), config, 8);
   // Early rounds: the stale replica still shows the optimistic prior, so
   // uncovered exposure stays high while the fresh reader has adapted.
   double fresh_early = 0.0;
@@ -196,15 +148,18 @@ TEST(ClosedLoop, ReplicaStalenessDelaysButDoesNotPreventAdaptation) {
 }
 
 TEST(ClosedLoop, CompromiseSpikesExposureAndRecovers) {
-  const grid::GridSystem grid = three_rd_grid();
-  std::vector<DomainBehavior> rds = {{5.6, 0.3}, {4.5, 0.3}, {4.5, 0.3}};
-  ClosedLoopConfig config = small_config(true);
+  // rd0 behaves for 6 rounds, then is compromised for the rest of the run.
+  sim::Scenario scenario = pinned_scenario({5.6, 4.5, 4.5});
+  AdversarySpec& rd0 = scenario.chaos.adversaries[0];
+  rd0.kind = BehaviorKind::kOscillating;
+  rd0.malicious_mean = 1.4;
+  rd0.rounds_on = 6;
+  rd0.rounds_off = 8;
+  CampaignRunConfig config = small_config(true);
   config.rounds = 14;
   config.tasks_per_round = 50;
   config.engine.learning_rate = 0.5;
-  config.conduct_changes.push_back({6, 0, 1.4});
-  const ClosedLoopResult run =
-      run_closed_loop(grid, rds, cd_conduct(), config, Rng(11));
+  const CampaignResult run = run_campaign(scenario, config, 11);
   // Pre-compromise steady state is near zero; the compromise round spikes;
   // the tail recovers as the agents re-learn.
   const double before = run.rounds[5].mean_residual_exposure;
@@ -217,48 +172,31 @@ TEST(ClosedLoop, CompromiseSpikesExposureAndRecovers) {
 }
 
 TEST(ClosedLoop, ConductChangeValidation) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
-  config.conduct_changes.push_back({2, 9, 3.0});  // unknown RD
-  EXPECT_THROW(
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(1)),
-      PreconditionError);
-  config = small_config(true);
-  config.conduct_changes.push_back({99, 0, 3.0});  // past the last round
-  EXPECT_THROW(
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(1)),
-      PreconditionError);
-  config = small_config(true);
-  config.conduct_changes.push_back({2, 0, 9.0});  // off the trust scale
-  EXPECT_THROW(
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(1)),
-      PreconditionError);
-}
-
-TEST(Experiment, DrawInstanceIsSelfConsistent) {
-  Scenario scenario;
-  scenario.tasks = 15;
-  Rng rng(5);
-  const Instance instance =
-      draw_instance(scenario, sched::trust_aware_policy(), rng);
-  EXPECT_EQ(instance.requests.size(), 15u);
-  EXPECT_EQ(instance.problem.num_requests(), 15u);
-  EXPECT_EQ(instance.problem.num_machines(), instance.grid.machines().size());
-  EXPECT_EQ(instance.table.client_domains(),
-            instance.grid.client_domains().size());
-  for (std::size_t r = 0; r < 15; ++r) {
-    EXPECT_EQ(instance.problem.arrival_time(r),
-              instance.requests[r].arrival_time);
-  }
+  sim::Scenario scenario = pinned_scenario();
+  AdversarySpec change;
+  change.domain = 9;  // unknown RD
+  change.kind = BehaviorKind::kOscillating;
+  scenario.chaos.adversaries = {change};
+  EXPECT_THROW((void)run_campaign(scenario, small_config(true), 1),
+               PreconditionError);
+  change.domain = 0;
+  change.rounds_off = 0;  // an empty compromise phase
+  scenario.chaos.adversaries = {change};
+  EXPECT_THROW((void)run_campaign(scenario, small_config(true), 1),
+               PreconditionError);
+  change.rounds_off = 3;
+  change.malicious_mean = 9.0;  // off the trust scale
+  scenario.chaos.adversaries = {change};
+  EXPECT_THROW((void)run_campaign(scenario, small_config(true), 1),
+               PreconditionError);
 }
 
 TEST(ClosedLoop, BetaMaintainerAlsoLearnsWithoutCollusion) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
+  CampaignRunConfig config = small_config(true);
   config.rounds = 10;
-  config.maintainer = ClosedLoopConfig::TableMaintainer::kBetaPooled;
-  const ClosedLoopResult result =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(12));
+  sim::Scenario scenario = pinned_scenario();
+  scenario.reputation.name = "beta";
+  const CampaignResult result = run_campaign(scenario, config, 12);
   // The pooled table still learns the conduct ordering honestly.
   EXPECT_GT(trust::to_numeric(result.final_table.get(0, 0, 0)),
             trust::to_numeric(result.final_table.get(0, 2, 0)));
@@ -267,21 +205,26 @@ TEST(ClosedLoop, BetaMaintainerAlsoLearnsWithoutCollusion) {
 }
 
 TEST(ClosedLoop, CollusionPoisonsBetaButNotGammaForHonestDomains) {
-  const grid::GridSystem grid = three_rd_grid(7);
-  std::vector<DomainBehavior> rds = {{5.6, 0.3}, {4.4, 0.3}, {1.6, 0.3}};
-  const auto run_with = [&](ClosedLoopConfig::TableMaintainer maintainer) {
-    ClosedLoopConfig config = small_config(true);
+  // cd1 is allied with the hostile rd2: it ballot-stuffs rd2 (and badmouths
+  // the other domains) whatever it observes.
+  sim::Scenario scenario = pinned_scenario({5.6, 4.4, 1.6});
+  scenario.chaos.adversaries[2].kind = BehaviorKind::kCollusive;
+  AdversarySpec ally;
+  ally.side = AdversarySide::kClientDomain;
+  ally.domain = 1;
+  ally.kind = BehaviorKind::kCollusive;
+  scenario.chaos.adversaries.push_back(ally);
+  const auto run_with = [&](const char* backend) {
+    CampaignRunConfig config = small_config(true);
     config.rounds = 12;
     config.tasks_per_round = 60;
-    config.maintainer = maintainer;
-    config.colluding_pairs.push_back({1, 2});  // cd1 whitewashes rd2
     config.engine.alliance_discount = 0.1;
-    return run_closed_loop(grid, rds, cd_conduct(), config, Rng(13));
+    sim::Scenario arm = scenario;
+    arm.reputation.name = backend;
+    return run_campaign(arm, config, 13);
   };
-  const ClosedLoopResult gamma =
-      run_with(ClosedLoopConfig::TableMaintainer::kGammaBridge);
-  const ClosedLoopResult beta =
-      run_with(ClosedLoopConfig::TableMaintainer::kBetaPooled);
+  const CampaignResult gamma = run_with("gamma");
+  const CampaignResult beta = run_with("beta");
   // Honest cd0's view of the hostile rd2: Γ learns the truth; the pooled
   // Beta view is inflated by the colluder.
   EXPECT_LT(trust::to_numeric(gamma.final_table.get(0, 2, 0)),
@@ -297,80 +240,49 @@ TEST(ClosedLoop, CollusionPoisonsBetaButNotGammaForHonestDomains) {
 }
 
 TEST(ClosedLoop, HonestExposureEqualsTotalWithoutCollusion) {
-  const grid::GridSystem grid = three_rd_grid();
-  const ClosedLoopResult result = run_closed_loop(
-      grid, rd_conduct(), cd_conduct(), small_config(true), Rng(14));
-  for (const RoundMetrics& round : result.rounds) {
+  const CampaignResult result =
+      run_campaign(pinned_scenario(), small_config(true), 14);
+  for (const CampaignRoundMetrics& round : result.rounds) {
     EXPECT_NEAR(round.mean_residual_exposure,
                 round.mean_residual_exposure_honest, 1e-12);
   }
 }
 
-TEST(ClosedLoop, WarmStartSkipsTheLearningPhase) {
-  // Run a cold loop, persist its learned table, and warm-start a second
-  // deployment from it: the warm run's first rounds must already show the
-  // converged exposure the cold run only reaches later.
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
-  config.rounds = 10;
-  const ClosedLoopResult cold =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(21));
-
-  // Round-trip the learned table through the save format.
-  const trust::TrustLevelTable restored =
-      trust::table_from_string(trust::table_to_string(cold.final_table));
-
-  ClosedLoopConfig warm_config = small_config(true);
-  warm_config.rounds = 4;
-  warm_config.initial_table = restored;
-  const ClosedLoopResult warm =
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), warm_config, Rng(22));
-
-  const double cold_first = cold.rounds[0].mean_residual_exposure;
-  double warm_early = 0.0;
-  for (const RoundMetrics& round : warm.rounds) {
-    warm_early = std::max(warm_early, round.mean_residual_exposure);
-  }
-  EXPECT_LT(warm_early, 0.6 * cold_first);
-}
-
-TEST(ClosedLoop, WarmStartValidatesDimensions) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
-  config.initial_table = trust::TrustLevelTable(1, 1, 1);
-  EXPECT_THROW(
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(1)),
-      PreconditionError);
-}
-
 TEST(ClosedLoop, CollusionPairValidation) {
-  const grid::GridSystem grid = three_rd_grid();
-  ClosedLoopConfig config = small_config(true);
-  config.colluding_pairs.push_back({9, 0});
-  EXPECT_THROW(
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), config, Rng(1)),
-      PreconditionError);
+  sim::Scenario scenario = pinned_scenario();
+  AdversarySpec ally;
+  ally.side = AdversarySide::kClientDomain;
+  ally.domain = 9;  // unknown CD
+  ally.kind = BehaviorKind::kCollusive;
+  scenario.chaos.adversaries.push_back(ally);
+  EXPECT_THROW((void)run_campaign(scenario, small_config(true), 1),
+               PreconditionError);
 }
 
 TEST(ClosedLoop, Validation) {
-  const grid::GridSystem grid = three_rd_grid();
-  EXPECT_THROW(run_closed_loop(grid, {{5.0, 0.1}}, cd_conduct(),
-                               small_config(true), Rng(1)),
+  // Conduct pinned for an RD or a CD the Grid does not have.
+  sim::Scenario extra_rd = pinned_scenario({5.6, 3.4, 1.6, 5.0});
+  extra_rd.grid.min_resource_domains = 3;
+  extra_rd.grid.max_resource_domains = 3;
+  EXPECT_THROW((void)run_campaign(extra_rd, small_config(true), 1),
                PreconditionError);
-  EXPECT_THROW(run_closed_loop(grid, rd_conduct(), {{5.0, 0.1}},
-                               small_config(true), Rng(1)),
+  sim::Scenario extra_cd = pinned_scenario();
+  AdversarySpec cd;
+  cd.side = AdversarySide::kClientDomain;
+  cd.domain = 2;
+  cd.kind = BehaviorKind::kHonest;
+  extra_cd.chaos.adversaries.push_back(cd);
+  EXPECT_THROW((void)run_campaign(extra_cd, small_config(true), 1),
                PreconditionError);
-  ClosedLoopConfig bad = small_config(true);
+  CampaignRunConfig bad = small_config(true);
   bad.rounds = 0;
-  EXPECT_THROW(
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), bad, Rng(1)),
-      PreconditionError);
+  EXPECT_THROW((void)run_campaign(pinned_scenario(), bad, 1),
+               PreconditionError);
   bad = small_config(true);
   bad.initial_level = trust::TrustLevel::kF;
-  EXPECT_THROW(
-      run_closed_loop(grid, rd_conduct(), cd_conduct(), bad, Rng(1)),
-      PreconditionError);
+  EXPECT_THROW((void)run_campaign(pinned_scenario(), bad, 1),
+               PreconditionError);
 }
 
 }  // namespace
-}  // namespace gridtrust::sim
+}  // namespace gridtrust::chaos

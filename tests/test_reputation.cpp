@@ -130,105 +130,11 @@ TEST(ReputationRegistry, RejectsOverDeepPurgeComposites) {
                PreconditionError);
 }
 
-TEST(ReputationRegistry, SetOverrideParsesDottedNumericAssignments) {
-  ReputationBackendConfig config;
-  config.name = "purge:gamma";
-  config.set_override("purge.deviation_threshold=2.5");
-  config.set_override("gamma.default_score=3");
-  EXPECT_EQ(config.params.at("purge.deviation_threshold"), 2.5);
-  EXPECT_EQ(config.params.at("gamma.default_score"), 3.0);
-}
-
-TEST(ReputationRegistry, SetOverrideRejectsMalformedAssignments) {
-  ReputationBackendConfig config;
-  try {
-    config.set_override("gamma.default_score");  // no '='
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("expected key=value"),
-              std::string::npos)
-        << e.what();
-  }
-  try {
-    config.set_override("gamma.default_score=fast");
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("is not a number"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(config.set_override("=1.5"), PreconditionError);
-  // Trailing junk after a valid numeric prefix is rejected too.
-  EXPECT_THROW(config.set_override("gamma.alpha=1.5x"), PreconditionError);
-  EXPECT_TRUE(config.params.empty());  // failed overrides leave no residue
-}
-
-TEST(ReputationRegistry, UnknownOverrideKeyIsRejectedAtConstruction) {
-  ReputationBackendConfig config;
-  config.name = "gamma";
-  config.set_override("bogus.key=1");  // parses fine; key checked later
-  try {
-    (void)make_reputation_policy(config, TrustEngineConfig{}, 3, 1);
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(
-        std::string(e.what()).find("unknown reputation backend parameter"),
-        std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(ReputationRegistry, RejectsDuplicateAndReservedRegistrations) {
-  EXPECT_THROW(register_reputation_backend(
-                   "gamma",
-                   [](const ReputationParams&) {
-                     return std::unique_ptr<ReputationPolicy>();
-                   }),
-               PreconditionError);
-  EXPECT_THROW(register_reputation_backend(
-                   "purge:custom",
-                   [](const ReputationParams&) {
-                     return std::unique_ptr<ReputationPolicy>();
-                   }),
-               PreconditionError);
-}
-
-TEST(ReputationRegistry, AcceptsThirdPartyBackends) {
-  register_reputation_backend("test_gamma_alias",
-                              [](const ReputationParams& params) {
-                                return std::make_unique<GammaReputationPolicy>(
-                                    params.gamma, params.entities,
-                                    params.contexts);
-                              });
-  EXPECT_TRUE(reputation_backend_exists("test_gamma_alias"));
-  EXPECT_TRUE(reputation_backend_exists("purge:test_gamma_alias"));
-  const auto policy =
-      make_reputation_policy("test_gamma_alias", params_for(3, 1));
-  EXPECT_EQ(policy->name(), "gamma");  // alias constructs the gamma policy
-}
-
-TEST(ReputationRegistry, BackendConfigAppliesOverrides) {
-  ReputationBackendConfig config;
-  EXPECT_TRUE(config.is_default());
-  config.name = "gamma";
-  config.params = {{"gamma.default_score", 2.5}};
-  EXPECT_FALSE(config.is_default());
-  const auto policy =
-      make_reputation_policy(config, TrustEngineConfig{}, 3, 1);
-  EXPECT_EQ(policy->stranger_default(), 2.5);
-
-  config.params = {{"no.such.knob", 1.0}};
-  EXPECT_THROW((void)make_reputation_policy(config, TrustEngineConfig{}, 3, 1),
-               PreconditionError);
-}
-
 TEST(ReputationRegistry, PurgeOverridesReachTheDecorator) {
-  ReputationBackendConfig config;
-  config.name = "purge:gamma";
-  config.params = {{"purge.min_consensus", 1.0},
-                   {"purge.deviation_threshold", 0.5}};
-  const auto policy =
-      make_reputation_policy(config, TrustEngineConfig{}, 4, 1);
+  ReputationParams params = params_for(4, 1);
+  params.purge.min_consensus = 1;
+  params.purge.deviation_threshold = 0.5;
+  const auto policy = make_reputation_policy("purge:gamma", params);
   // Consensus rests on a single report; the deviating second one is purged.
   policy->record_recommendation({1, 0, 0, 1.0, 5.0});
   policy->record_recommendation({2, 0, 0, 2.0, 1.0});
@@ -388,16 +294,6 @@ TEST(GammaPolicy, RecommendationFoldsAsTheRecommendersOwnRecord) {
             via_rec.observation_count(0, 1, 0));
 }
 
-TEST(DomainTrustBridge, EngineAccessRequiresTheGammaBackend) {
-  DomainTrustBridge gamma_bridge(
-      make_reputation_policy("gamma", params_for(4, 1)), 2, 2, 1);
-  gamma_bridge.observe_client_side(0, 1, 0, 1.0, 5.0);
-  EXPECT_EQ(gamma_bridge.engine().transaction_count(), 1u);
-  DomainTrustBridge beta_bridge(make_reputation_policy("beta", params_for(4, 1)),
-                                2, 2, 1);
-  EXPECT_THROW((void)beta_bridge.engine(), PreconditionError);
-}
-
 // --------------------------------------------------------------- purging
 
 TEST(PurgingPolicy, PurgesDeviantRecommendationsOnly) {
@@ -530,7 +426,7 @@ TEST(ScenarioReputation, CampaignCarriesBackendCounters) {
 TEST(ScenarioReputation, DefaultBackendIsBitIdenticalToLegacyCampaign) {
   const sim::Scenario scenario =
       sim::ScenarioBuilder().tasks(10).heuristic("mct").build();
-  ASSERT_TRUE(scenario.reputation.is_default());
+  ASSERT_EQ(scenario.reputation.name, "gamma");
   chaos::CampaignRunConfig config;
   config.rounds = 4;
   config.tasks_per_round = 8;

@@ -219,6 +219,23 @@ TEST(Experiment, RequiresAtLeastOneReplication) {
   EXPECT_THROW(run_comparison(scenario, 0, 1), PreconditionError);
 }
 
+TEST(Experiment, DrawInstanceIsSelfConsistent) {
+  Scenario scenario;
+  scenario.tasks = 15;
+  Rng rng(5);
+  const Instance instance =
+      draw_instance(scenario, sched::trust_aware_policy(), rng);
+  EXPECT_EQ(instance.requests.size(), 15u);
+  EXPECT_EQ(instance.problem.num_requests(), 15u);
+  EXPECT_EQ(instance.problem.num_machines(), instance.grid.machines().size());
+  EXPECT_EQ(instance.table.client_domains(),
+            instance.grid.client_domains().size());
+  for (std::size_t r = 0; r < 15; ++r) {
+    EXPECT_EQ(instance.problem.arrival_time(r),
+              instance.requests[r].arrival_time);
+  }
+}
+
 TEST(Experiment, PaperTableLayout) {
   Scenario s50;
   s50.tasks = 50;
