@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): reputation-backend operation costs —
 // transaction folding, trust evaluation across every registered backend,
-// and the trust-cost matrix construction the scheduler performs per
-// meta-request.  Backends are constructed through the registry, so the
-// numbers measure exactly what campaign code pays.
+// one Fig. 1 table refresh at campaign scale, and the trust-cost matrix
+// construction the scheduler performs per meta-request.  Backends are
+// constructed through the registry, so the numbers measure exactly what
+// campaign code pays.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,7 +11,9 @@
 
 #include "common/rng.hpp"
 #include "sched/problem.hpp"
+#include "trust/agents.hpp"
 #include "trust/reputation_registry.hpp"
+#include "trust/trust_table.hpp"
 #include "workload/request_gen.hpp"
 
 namespace {
@@ -70,6 +73,39 @@ void BM_Evaluate(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// One DomainTrustBridge::refresh sized like a chaos_robustness campaign:
+// 3 CDs, 10 RDs, the 8 standard activities, the gamma backend, and a seeded
+// history of `range(0)` observations per side that populates every
+// (CD, RD, activity) entry in both directions.  Each refresh re-evaluates Γ
+// for all 240 entries twice (forward and reverse).
+void BM_BridgeRefresh(benchmark::State& state) {
+  constexpr std::size_t kCds = 3;
+  constexpr std::size_t kRds = 10;
+  constexpr std::size_t kActivities = 8;
+  const auto observations = static_cast<std::size_t>(state.range(0));
+  trust::ReputationParams params;
+  params.entities = kCds + kRds;
+  params.contexts = kActivities;
+  trust::DomainTrustBridge bridge(
+      trust::make_reputation_policy("gamma", params), kCds, kRds, kActivities);
+  Rng rng(13);
+  double t = 0.0;
+  for (std::size_t i = 0; i < observations; ++i) {
+    const std::size_t cd = rng.index(kCds);
+    const std::size_t rd = rng.index(kRds);
+    const std::size_t act = rng.index(kActivities);
+    t += 1.0;
+    bridge.observe_client_side(cd, rd, act, t, rng.uniform(1.0, 6.0));
+    bridge.observe_resource_side(rd, cd, act, t, rng.uniform(1.0, 6.0));
+  }
+  trust::TrustLevelTable table(kCds, kRds, kActivities);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bridge.refresh(table, t));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kCds * kRds * kActivities));
+}
+
 void BM_TrustCostMatrix(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));
   Rng rng(11);
@@ -96,6 +132,7 @@ BENCHMARK_CAPTURE(BM_Evaluate, gamma, "gamma")->Arg(16)->Arg(128);
 BENCHMARK_CAPTURE(BM_Evaluate, beta, "beta")->Arg(16)->Arg(128);
 BENCHMARK_CAPTURE(BM_Evaluate, fuzzy, "fuzzy")->Arg(16)->Arg(128);
 BENCHMARK_CAPTURE(BM_Evaluate, purge_gamma, "purge:gamma")->Arg(16)->Arg(128);
+BENCHMARK(BM_BridgeRefresh)->Arg(2000);
 BENCHMARK(BM_TrustCostMatrix)->Arg(100)->Arg(1000);
 
 BENCHMARK_MAIN();

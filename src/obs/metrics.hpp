@@ -232,6 +232,20 @@ std::vector<double> duration_bounds_ns();
 /// Power-of-two-ish bounds for small cardinalities (batch sizes, depths).
 std::vector<double> count_bounds();
 
+/// Tallies an owner object batches in plain members and later publishes to
+/// the installed registry as deltas, so recording is a plain increment even
+/// with a registry installed.  `Counts` is an aggregate of the tallies.  A
+/// copy starts empty and assignment keeps the destination's own tallies, so
+/// copying the owner never publishes an event twice.
+template <typename Counts>
+struct PendingCounts : Counts {
+  PendingCounts() = default;
+  PendingCounts(const PendingCounts&) : Counts() {}
+  PendingCounts& operator=(const PendingCounts&) { return *this; }
+  /// Drops the tallies (after they were published).
+  void clear() { static_cast<Counts&>(*this) = Counts(); }
+};
+
 /// RAII wall-clock timer recording elapsed nanoseconds into a histogram on
 /// destruction.  When collection is disabled at construction the clock is
 /// never read, so a dormant timer costs one load and one branch.

@@ -50,7 +50,10 @@ FuzzyTrustConfig FuzzyReputationPolicy::validated(FuzzyTrustConfig config) {
 FuzzyReputationPolicy::FuzzyReputationPolicy(FuzzyTrustConfig config,
                                              std::size_t entities,
                                              std::size_t contexts)
-    : config_(validated(config)), entities_(entities), contexts_(contexts) {
+    : config_(validated(config)),
+      entities_(entities),
+      contexts_(contexts),
+      records_(entities, contexts) {
   GT_REQUIRE(entities > 0, "need at least one entity");
   GT_REQUIRE(contexts > 0, "need at least one context");
 }
@@ -72,7 +75,8 @@ void FuzzyReputationPolicy::record_transaction(const Transaction& tx) {
              "an entity cannot record trust in itself");
   GT_REQUIRE(tx.observed_score >= 1.0 && tx.observed_score <= 6.0,
              "observed score must be on the [1, 6] trust scale");
-  Record& rec = records_[StreamKey{tx.truster, tx.trustee, tx.context}];
+  DirectTrustRecord& rec =
+      records_.find_or_insert(tx.truster, tx.trustee, tx.context);
   GT_REQUIRE(rec.count == 0 || tx.time >= rec.last_time,
              "transactions must arrive in non-decreasing time order");
   if (rec.count == 0) {
@@ -90,11 +94,10 @@ std::optional<double> FuzzyReputationPolicy::direct_component(
     EntityId truster, EntityId trustee, ContextId context, double now) const {
   check(truster, context);
   check(trustee, context);
-  const auto it = records_.find(StreamKey{truster, trustee, context});
-  if (it == records_.end()) return std::nullopt;
-  GT_REQUIRE(now >= it->second.last_time,
-             "query time precedes last transaction");
-  return it->second.level;
+  const DirectTrustRecord* rec = records_.find(truster, trustee, context);
+  if (rec == nullptr) return std::nullopt;
+  GT_REQUIRE(now >= rec->last_time, "query time precedes last transaction");
+  return rec->level;
 }
 
 std::optional<double> FuzzyReputationPolicy::reputation_component(
@@ -104,14 +107,12 @@ std::optional<double> FuzzyReputationPolicy::reputation_component(
   double sum = 0.0;
   std::size_t n = 0;
   // Interface contract: the evaluator's own records never count as
-  // third-party evidence, and the target cannot vouch for itself.
-  for (EntityId z = 0; z < entities_; ++z) {
-    if (z == evaluator || z == target) continue;
-    const auto it = records_.find(StreamKey{z, target, context});
-    if (it == records_.end()) continue;
-    GT_REQUIRE(now >= it->second.last_time,
-               "query time precedes last transaction");
-    sum += it->second.level;
+  // third-party evidence, and the target cannot vouch for itself (self-trust
+  // is never stored, so the target is not in its own list).
+  for (const auto& [z, rec] : records_.recommenders(target, context)) {
+    if (z == evaluator) continue;
+    GT_REQUIRE(now >= rec.last_time, "query time precedes last transaction");
+    sum += rec.level;
     ++n;
   }
   if (n == 0) return std::nullopt;
@@ -163,22 +164,16 @@ double FuzzyReputationPolicy::evaluate(EntityId truster, EntityId trustee,
 
 std::uint64_t FuzzyReputationPolicy::observation_count(
     EntityId truster, EntityId trustee, ContextId context) const {
-  const auto it = records_.find(StreamKey{truster, trustee, context});
-  return it != records_.end() ? it->second.count : 0;
+  if (truster >= entities_ || trustee >= entities_ || context >= contexts_) {
+    return 0;
+  }
+  const DirectTrustRecord* rec = records_.find(truster, trustee, context);
+  return rec != nullptr ? rec->count : 0;
 }
 
 std::size_t FuzzyReputationPolicy::forget(EntityId entity) {
   GT_REQUIRE(entity < entities_, "entity id out of range");
-  std::size_t removed = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (it->first.truster == entity || it->first.trustee == entity) {
-      it = records_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return records_.erase_entity(entity);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>

@@ -22,8 +22,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 
+#include "trust/recommender_index.hpp"
 #include "trust/reputation_policy.hpp"
 
 namespace gridtrust::trust {
@@ -75,18 +75,6 @@ class FuzzyReputationPolicy final : public ReputationPolicy {
   static std::array<double, 3> fuzzify(double score);
 
  private:
-  struct StreamKey {
-    EntityId truster;
-    EntityId trustee;
-    ContextId context;
-    auto operator<=>(const StreamKey&) const = default;
-  };
-  struct Record {
-    double level = 0.0;
-    double last_time = 0.0;
-    std::uint64_t count = 0;
-  };
-
   void check(EntityId entity, ContextId context) const;
   /// Mamdani inference over the available inputs; counts rule firings.
   double infer(std::optional<double> direct,
@@ -95,7 +83,7 @@ class FuzzyReputationPolicy final : public ReputationPolicy {
   FuzzyTrustConfig config_;
   std::size_t entities_;
   std::size_t contexts_;
-  std::map<StreamKey, Record> records_;
+  RecommenderIndex records_;
   std::uint64_t tx_count_ = 0;
   mutable std::uint64_t evaluations_ = 0;
   mutable std::uint64_t rule_firings_ = 0;

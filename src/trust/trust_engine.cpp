@@ -11,6 +11,8 @@ namespace gridtrust::trust {
 namespace {
 
 // Engine-level metrics (all no-ops unless an obs registry is installed).
+// Counts are batched in TrustEngine::pending_ and flushed by
+// publish_metrics(), so an enabled registry costs nothing per evaluation.
 const obs::Counter kGammaEvals("trust.gamma_evals");
 const obs::Counter kReputationScans("trust.reputation_scans");
 const obs::Counter kReputationRecordsScanned(
@@ -27,8 +29,9 @@ TrustEngine::TrustEngine(TrustEngineConfig config, std::size_t entities,
       entities_(entities),
       contexts_(contexts),
       alliances_(entities),
-      learned_weight_(config.learn_recommender_weights ? entities * entities
-                                                       : 0,
+      index_(entities, contexts),
+      learned_weight_(config_.learn_recommender_weights ? entities * entities
+                                                        : 0,
                       1.0) {
   GT_REQUIRE(entities > 0, "need at least one entity");
   GT_REQUIRE(contexts > 0, "need at least one context");
@@ -62,6 +65,8 @@ TrustEngine::TrustEngine(TrustEngineConfig config, std::size_t entities,
   }
 }
 
+TrustEngine::~TrustEngine() { publish_metrics(); }
+
 void TrustEngine::check_entity(EntityId id) const {
   GT_REQUIRE(id < entities_, "entity id out of range");
 }
@@ -75,9 +80,18 @@ const DecayFunction& TrustEngine::decay_for(ContextId context) const {
   return it != config_.context_decay.end() ? *it->second : *config_.decay;
 }
 
-double TrustEngine::decayed(double level, double age, ContextId context) const {
-  kDecayApplications.add();
-  return level * decay_for(context).value(age);
+double TrustEngine::factor(EntityId evaluator, EntityId recommender,
+                           EntityId target) const {
+  const double base = alliances_.allied(recommender, target)
+                          ? config_.alliance_discount
+                          : config_.independent_weight;
+  if (!config_.learn_recommender_weights) return base;
+  return base * learned_weight_[evaluator * entities_ + recommender];
+}
+
+void TrustEngine::note_record_count() {
+  pending_.records_max = std::max(pending_.records_max, index_.size());
+  pending_.records_set = true;
 }
 
 void TrustEngine::record_transaction(const Transaction& tx) {
@@ -92,7 +106,7 @@ void TrustEngine::record_transaction(const Transaction& tx) {
   if (config_.learn_recommender_weights) learn_recommenders(tx);
 
   DirectTrustRecord& rec =
-      direct_[TripleKey{tx.truster, tx.trustee, tx.context}];
+      index_.find_or_insert(tx.truster, tx.trustee, tx.context);
   GT_REQUIRE(rec.count == 0 || tx.time >= rec.last_time,
              "transactions must arrive in non-decreasing time order");
   if (rec.count == 0) {
@@ -100,35 +114,44 @@ void TrustEngine::record_transaction(const Transaction& tx) {
   } else {
     // The stored level first decays to the current time, then blends with
     // the fresh observation (EWMA).
-    const double aged = decayed(rec.level, tx.time - rec.last_time, tx.context);
+    ++pending_.decay_applications;
+    const double aged =
+        rec.level * decay_for(tx.context).value(tx.time - rec.last_time);
     rec.level = (1.0 - config_.learning_rate) * aged +
                 config_.learning_rate * tx.observed_score;
   }
   rec.last_time = tx.time;
   ++rec.count;
   ++tx_count_;
-  kTransactions.add();
-  kDirectRecords.set(static_cast<double>(direct_.size()));
+  ++pending_.transactions;
+  note_record_count();
+}
+
+const DirectTrustRecord* TrustEngine::find_record(EntityId truster,
+                                                  EntityId trustee,
+                                                  ContextId context) const {
+  check_entity(truster);
+  check_entity(trustee);
+  check_context(context);
+  return index_.find(truster, trustee, context);
 }
 
 std::optional<DirectTrustRecord> TrustEngine::direct_record(
     EntityId truster, EntityId trustee, ContextId context) const {
-  check_entity(truster);
-  check_entity(trustee);
-  check_context(context);
-  const auto it = direct_.find(TripleKey{truster, trustee, context});
-  if (it == direct_.end()) return std::nullopt;
-  return it->second;
+  const DirectTrustRecord* rec = find_record(truster, trustee, context);
+  if (rec == nullptr) return std::nullopt;
+  return *rec;
 }
 
 std::optional<double> TrustEngine::direct_trust(EntityId truster,
                                                 EntityId trustee,
                                                 ContextId context,
                                                 double now) const {
-  const auto rec = direct_record(truster, trustee, context);
-  if (!rec) return std::nullopt;
+  const DirectTrustRecord* rec = find_record(truster, trustee, context);
+  if (rec == nullptr) return std::nullopt;
   GT_REQUIRE(now >= rec->last_time, "query time precedes last transaction");
-  return decayed(rec->level, now - rec->last_time, context);
+  ++pending_.decay_applications;
+  return rec->level * decay_for(context).value(now - rec->last_time);
 }
 
 std::optional<double> TrustEngine::reputation(EntityId evaluator,
@@ -138,30 +161,28 @@ std::optional<double> TrustEngine::reputation(EntityId evaluator,
   check_entity(evaluator);
   check_entity(target);
   check_context(context);
-  // Scan every recommender z != evaluator with a record about target.  The
-  // triple keys are ordered (truster, trustee, context), so we walk the map
-  // range-free; entity counts in this model are small (domains, not users).
-  kReputationScans.add();
+  // Walk every recommender z != evaluator with a record about target, in
+  // ascending z.  The target never appears: self-trust is never stored.
+  ++pending_.reputation_scans;
+  const DecayFunction& decay = decay_for(context);
   double sum = 0.0;
   std::size_t n = 0;
-  for (EntityId z = 0; z < entities_; ++z) {
-    if (z == evaluator || z == target) continue;
-    const auto it = direct_.find(TripleKey{z, target, context});
-    if (it == direct_.end()) continue;
-    const DirectTrustRecord& rec = it->second;
+  for (const auto& [z, rec] : index_.recommenders(target, context)) {
+    if (z == evaluator) continue;
     GT_REQUIRE(now >= rec.last_time, "query time precedes last transaction");
-    sum += decayed(rec.level, now - rec.last_time, context) *
-           recommender_factor(evaluator, z, target);
+    ++pending_.decay_applications;
+    sum += rec.level * decay.value(now - rec.last_time) *
+           factor(evaluator, z, target);
     ++n;
   }
-  kReputationRecordsScanned.add(static_cast<double>(n));
+  pending_.records_scanned += n;
   if (n == 0) return std::nullopt;
   return sum / static_cast<double>(n);
 }
 
 double TrustEngine::eventual_trust(EntityId truster, EntityId trustee,
                                    ContextId context, double now) const {
-  kGammaEvals.add();
+  ++pending_.gamma_evals;
   const auto theta = direct_trust(truster, trustee, context, now);
   const auto omega = reputation(truster, trustee, context, now);
   if (theta && omega) return norm_alpha_ * *theta + norm_beta_ * *omega;
@@ -185,20 +206,11 @@ double TrustEngine::recommender_factor(EntityId evaluator,
   check_entity(evaluator);
   check_entity(recommender);
   check_entity(target);
-  const double base = alliances_.allied(recommender, target)
-                          ? config_.alliance_discount
-                          : config_.independent_weight;
-  if (!config_.learn_recommender_weights) return base;
-  return base * learned_weight_[evaluator * entities_ + recommender];
+  return factor(evaluator, recommender, target);
 }
 
 std::vector<TrustEngine::Entry> TrustEngine::export_records() const {
-  std::vector<Entry> out;
-  out.reserve(direct_.size());
-  for (const auto& [key, record] : direct_) {
-    out.push_back(Entry{key.truster, key.trustee, key.context, record});
-  }
-  return out;
+  return index_.entries();
 }
 
 void TrustEngine::import_record(const Entry& entry) {
@@ -212,45 +224,49 @@ void TrustEngine::import_record(const Entry& entry) {
              "imported trust level out of range");
   GT_REQUIRE(entry.record.last_time >= 0.0,
              "imported record has a negative timestamp");
-  const TripleKey key{entry.truster, entry.trustee, entry.context};
-  GT_REQUIRE(!direct_.count(key),
+  GT_REQUIRE(!index_.find(entry.truster, entry.trustee, entry.context),
              "triple already holds data; refusing to overwrite");
-  direct_[key] = entry.record;
+  index_.find_or_insert(entry.truster, entry.trustee, entry.context) =
+      entry.record;
   tx_count_ += entry.record.count;
 }
 
 std::size_t TrustEngine::prune(double before) {
-  std::size_t removed = 0;
-  for (auto it = direct_.begin(); it != direct_.end();) {
-    if (it->second.last_time < before) {
-      it = direct_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return index_.erase_if([before](const DirectTrustRecord& record) {
+    return record.last_time < before;
+  });
 }
 
 std::size_t TrustEngine::forget(EntityId entity) {
   check_entity(entity);
-  std::size_t removed = 0;
-  for (auto it = direct_.begin(); it != direct_.end();) {
-    if (it->first.truster == entity || it->first.trustee == entity) {
-      it = direct_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
+  publish_metrics();
+  const std::size_t removed = index_.erase_entity(entity);
   if (!learned_weight_.empty()) {
     for (EntityId x = 0; x < entities_; ++x) {
       learned_weight_[x * entities_ + entity] = 1.0;
       learned_weight_[entity * entities_ + x] = 1.0;
     }
   }
-  kDirectRecords.set(static_cast<double>(direct_.size()));
+  note_record_count();
   return removed;
+}
+
+void TrustEngine::publish_metrics() const {
+  if (obs::registry() == nullptr) return;
+  obs::PendingCounts<MetricCounts>& p = pending_;
+  if (p.gamma_evals != 0) kGammaEvals.add(static_cast<double>(p.gamma_evals));
+  if (p.reputation_scans != 0) {
+    kReputationScans.add(static_cast<double>(p.reputation_scans));
+    kReputationRecordsScanned.add(static_cast<double>(p.records_scanned));
+  }
+  if (p.decay_applications != 0) {
+    kDecayApplications.add(static_cast<double>(p.decay_applications));
+  }
+  if (p.transactions != 0) {
+    kTransactions.add(static_cast<double>(p.transactions));
+  }
+  if (p.records_set) kDirectRecords.set(static_cast<double>(p.records_max));
+  p.clear();
 }
 
 void TrustEngine::learn_recommenders(const Transaction& tx) {
@@ -261,12 +277,9 @@ void TrustEngine::learn_recommenders(const Transaction& tx) {
   // badmouths a competitor) accumulates error and loses influence.
   constexpr double kScaleSpan = 5.0;  // |6 - 1|
   double* weights = &learned_weight_[tx.truster * entities_];
-  for (EntityId z = 0; z < entities_; ++z) {
-    if (z == tx.truster || z == tx.trustee) continue;
-    const auto it = direct_.find(TripleKey{z, tx.trustee, tx.context});
-    if (it == direct_.end()) continue;
-    const double error =
-        std::abs(it->second.level - tx.observed_score) / kScaleSpan;
+  for (const auto& [z, rec] : index_.recommenders(tx.trustee, tx.context)) {
+    if (z == tx.truster) continue;
+    const double error = std::abs(rec.level - tx.observed_score) / kScaleSpan;
     const double target_weight = 1.0 - error;
     weights[z] += config_.recommender_learning_rate * (target_weight - weights[z]);
     weights[z] = std::clamp(weights[z], 0.0, 1.0);

@@ -12,6 +12,11 @@
 // collusion: it is discounted when the recommender is allied with the target,
 // and optionally refined online by comparing recommendations with the
 // evaluator's own later observations.
+//
+// Records live in a RecommenderIndex: one list per (trustee, context) in
+// ascending truster order.  Ω walks only the recommenders that hold data,
+// in ascending z (recommender_index.hpp states the summation-order
+// contract).
 #pragma once
 
 #include <cstdint>
@@ -19,8 +24,10 @@
 #include <optional>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "trust/alliance.hpp"
 #include "trust/decay.hpp"
+#include "trust/recommender_index.hpp"
 #include "trust/transaction.hpp"
 #include "trust/trust_level.hpp"
 
@@ -59,19 +66,28 @@ struct TrustEngineConfig {
   std::map<ContextId, std::shared_ptr<const DecayFunction>> context_decay;
 };
 
-/// One direct-trust record: the DTT/RTT entry for (truster, trustee, context).
-struct DirectTrustRecord {
-  double level = 0.0;        ///< continuous trust level in [1, 6]
-  double last_time = 0.0;    ///< time of the most recent transaction
-  std::uint64_t count = 0;   ///< number of transactions folded in
-};
-
 /// The trust management engine.
+///
+/// Activity counters (`trust.gamma_evals`, `trust.reputation_scans`,
+/// `trust.reputation_records_scanned`, `trust.decay_applications`,
+/// `trust.transactions`, gauge `trust.direct_records`) are batched in plain
+/// members and flushed to the installed obs::MetricsRegistry by
+/// publish_metrics(), which forget() and the destructor call.  Because the
+/// const queries bump those members, one engine must not be queried from
+/// two threads at once.
 class TrustEngine {
  public:
   /// Creates an engine over a fixed entity population and context set.
   TrustEngine(TrustEngineConfig config, std::size_t entities,
               std::size_t contexts);
+  /// Publishes any unflushed counts.
+  ~TrustEngine();
+  /// Copies carry the trust state but not the source's unpublished counts,
+  /// so every counted event is published exactly once.
+  TrustEngine(const TrustEngine&) = default;
+  TrustEngine(TrustEngine&&) = default;
+  TrustEngine& operator=(const TrustEngine&) = default;
+  TrustEngine& operator=(TrustEngine&&) = default;
 
   std::size_t entity_count() const { return entities_; }
   std::size_t context_count() const { return contexts_; }
@@ -119,12 +135,7 @@ class TrustEngine {
   std::uint64_t transaction_count() const { return tx_count_; }
 
   /// One (truster, trustee, context) entry of the direct-trust table.
-  struct Entry {
-    EntityId truster = 0;
-    EntityId trustee = 0;
-    ContextId context = 0;
-    DirectTrustRecord record;
-  };
+  using Entry = DirectTrustEntry;
 
   /// All direct-trust records in key order (persistence, inspection).
   std::vector<Entry> export_records() const;
@@ -147,18 +158,37 @@ class TrustEngine {
   /// and is not rewound.
   std::size_t forget(EntityId entity);
 
+  /// Pushes the counts accumulated since the last publish to the installed
+  /// obs::MetricsRegistry (a no-op that keeps them pending when none is
+  /// installed).  forget() and the destructor call it; call it directly only
+  /// to snapshot a registry while the engine is still alive.
+  void publish_metrics() const;
+
  private:
-  struct TripleKey {
-    EntityId truster;
-    EntityId trustee;
-    ContextId context;
-    auto operator<=>(const TripleKey&) const = default;
+  /// Counts not yet published (see obs::PendingCounts).
+  struct MetricCounts {
+    std::uint64_t gamma_evals = 0;
+    std::uint64_t reputation_scans = 0;
+    std::uint64_t records_scanned = 0;
+    std::uint64_t decay_applications = 0;
+    std::uint64_t transactions = 0;
+    /// High-water mark of the record count since the last publish; only
+    /// meaningful while `records_set` (the gauge is set at all).
+    std::size_t records_max = 0;
+    bool records_set = false;
   };
 
   void check_entity(EntityId id) const;
   void check_context(ContextId id) const;
   const DecayFunction& decay_for(ContextId context) const;
-  double decayed(double level, double age, ContextId context) const;
+  /// The triple's record (nullptr if none), after the range checks.
+  const DirectTrustRecord* find_record(EntityId truster, EntityId trustee,
+                                       ContextId context) const;
+  /// R(z, y) without the range checks (the Ω scan's ids are in range).
+  double factor(EntityId evaluator, EntityId recommender,
+                EntityId target) const;
+  /// Folds the current record count into the pending high-water mark.
+  void note_record_count();
   /// Updates evaluator-side recommender weights given a fresh first-hand
   /// observation that can be compared against outstanding recommendations.
   void learn_recommenders(const Transaction& tx);
@@ -172,7 +202,7 @@ class TrustEngine {
   std::size_t entities_;
   std::size_t contexts_;
   AllianceGraph alliances_;
-  std::map<TripleKey, DirectTrustRecord> direct_;
+  RecommenderIndex index_;
   // learned_weight_[x * entities_ + z]: x's reliability weight for
   // recommender z.  One flat row-major array (not a vector-of-vectors) so
   // an evaluator's row is a single contiguous cache-friendly stripe — and
@@ -181,6 +211,7 @@ class TrustEngine {
   // feature that is off by default).
   std::vector<double> learned_weight_;
   std::uint64_t tx_count_ = 0;
+  mutable obs::PendingCounts<MetricCounts> pending_;
 };
 
 }  // namespace gridtrust::trust

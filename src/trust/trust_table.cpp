@@ -25,6 +25,8 @@ TrustLevelTable::TrustLevelTable(std::size_t client_domains,
   GT_REQUIRE(activities > 0, "need at least one activity type");
 }
 
+TrustLevelTable::~TrustLevelTable() { publish_metrics(); }
+
 std::size_t TrustLevelTable::offset(std::size_t cd, std::size_t rd,
                                     std::size_t activity) const {
   GT_REQUIRE(cd < n_cd_, "client domain index out of range");
@@ -35,7 +37,7 @@ std::size_t TrustLevelTable::offset(std::size_t cd, std::size_t rd,
 
 TrustLevel TrustLevelTable::get(std::size_t cd, std::size_t rd,
                                 std::size_t activity) const {
-  kTableLookups.add();
+  ++pending_.lookups;
   return levels_[offset(cd, rd, activity)];
 }
 
@@ -70,6 +72,12 @@ void TrustLevelTable::randomize(Rng& rng) {
                         to_numeric(kMaxOfferedLevel))));
   }
   ++version_;
+}
+
+void TrustLevelTable::publish_metrics() const {
+  if (obs::registry() == nullptr || pending_.lookups == 0) return;
+  kTableLookups.add(static_cast<double>(pending_.lookups));
+  pending_.clear();
 }
 
 }  // namespace gridtrust::trust
