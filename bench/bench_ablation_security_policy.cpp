@@ -8,6 +8,7 @@
 //   aware            decide+pay TC-priced              (the paper treatment)
 #include <iostream>
 
+#include "common/stats.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {

@@ -3,6 +3,7 @@
 // unaware vs trust-aware, across all four heterogeneity x consistency
 // classes.  The paper evaluates only MCT, Min-min, and Sufferage; this
 // bench shows the trust integration composes with the whole family.
+#include <algorithm>
 #include <iostream>
 
 #include "support.hpp"
@@ -17,7 +18,6 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
   const auto replications =
       static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   TextTable table({"heuristic", "mode", "class", "unaware makespan",
                    "aware makespan", "improvement", "95% CI (diff)"});
@@ -38,33 +38,47 @@ int main(int argc, char** argv) {
       classes.push_back(params);
     }
   }
-
-  const auto run_row = [&](const std::string& name, bool batch,
-                           const workload::HeterogeneityParams& klass) {
-    sim::Scenario scenario = bench::scenario_from_flags(cli);
-    scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
-    scenario.heterogeneity = klass;
-    scenario.rms.heuristic = name;
-    scenario.rms.mode =
-        batch ? sim::SchedulingMode::kBatch : sim::SchedulingMode::kImmediate;
-    const sim::ComparisonResult r =
-        sim::run_comparison(scenario, replications, seed);
-    table.add_row({name, batch ? "batch" : "immediate",
-                   workload::to_string(klass),
-                   format_grouped(r.unaware.makespan.mean(), 1),
-                   format_grouped(r.aware.makespan.mean(), 1),
-                   format_percent(r.improvement_pct),
-                   format_grouped(r.makespan_cmp.ci95_diff, 1)});
-  };
-
+  lab::Axis class_axis{"class", {}};
   for (const auto& klass : classes) {
-    for (const std::string& name : sched::immediate_heuristic_names()) {
-      run_row(name, false, klass);
-    }
-    for (const std::string& name : sched::batch_heuristic_names()) {
-      run_row(name, true, klass);
-    }
-    table.add_separator();
+    class_axis.values.emplace_back(workload::to_string(klass));
+  }
+  const std::vector<std::string> batch_names = sched::batch_heuristic_names();
+  lab::Axis heuristic_axis{"heuristic", {}};
+  for (const std::string& name : sched::immediate_heuristic_names()) {
+    heuristic_axis.values.emplace_back(name);
+  }
+  for (const std::string& name : batch_names) {
+    heuristic_axis.values.emplace_back(name);
+  }
+  const auto is_batch = [&batch_names](const std::string& name) {
+    return std::find(batch_names.begin(), batch_names.end(), name) !=
+           batch_names.end();
+  };
+  const std::size_t heuristics = heuristic_axis.values.size();
+
+  const lab::Manifest manifest = bench::run_paired_sweep(
+      cli, "all_heuristics", {class_axis, heuristic_axis},
+      [&](const lab::Cell& cell) {
+        const std::string& name = cell.text("heuristic");
+        sim::Scenario scenario = bench::scenario_from_flags(cli);
+        scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+        // Class is the outer axis.
+        scenario.heterogeneity = classes[cell.index / heuristics];
+        scenario.rms.heuristic = name;
+        scenario.rms.mode = is_batch(name) ? sim::SchedulingMode::kBatch
+                                           : sim::SchedulingMode::kImmediate;
+        return scenario;
+      });
+
+  for (const lab::ManifestCell& cell : manifest.cells) {
+    const std::string& name = cell.params[1].second.text();
+    table.add_row({name, is_batch(name) ? "batch" : "immediate",
+                   cell.params[0].second.text(),
+                   format_grouped(cell.metric("unaware.makespan").mean, 1),
+                   format_grouped(cell.metric("aware.makespan").mean, 1),
+                   format_percent(cell.metric("improvement_pct").mean),
+                   format_grouped(cell.metric("makespan_diff").ci95, 1)});
+    if ((cell.index + 1) % heuristics == 0) table.add_separator();
   }
   std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());
   return 0;

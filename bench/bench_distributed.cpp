@@ -3,6 +3,7 @@
 // availability vs the central RMS, across sync intervals.
 #include <iostream>
 
+#include "common/stats.hpp"
 #include "support.hpp"
 #include "sim/distributed.hpp"
 

@@ -14,26 +14,29 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_int("tasks", 50, "tasks per replication");
   cli.parse(argc, argv);
-  const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   TextTable table({"resource domains", "unaware makespan", "aware makespan",
                    "improvement", "95% CI"});
   table.set_title("Trust diversity series (MCT, inconsistent LoLo, " +
                   std::to_string(cli.get_int("tasks")) + " tasks)");
-  for (std::size_t rds = 1; rds <= 5; ++rds) {
-    sim::Scenario scenario = bench::scenario_from_flags(cli);
-    scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
-    scenario.grid.min_resource_domains = rds;
-    scenario.grid.max_resource_domains = rds;
-    const auto r = sim::run_comparison(scenario, replications, seed);
-    const double rel_ci =
-        r.makespan_cmp.ci95_diff / r.makespan_cmp.mean_base * 100.0;
-    table.add_row({std::to_string(rds),
-                   format_grouped(r.unaware.makespan.mean(), 1),
-                   format_grouped(r.aware.makespan.mean(), 1),
-                   format_percent(r.improvement_pct),
+  const lab::Manifest manifest = bench::run_paired_sweep(
+      cli, "diversity", {{"resource_domains", {1, 2, 3, 4, 5}}},
+      [&](const lab::Cell& cell) {
+        const auto rds =
+            static_cast<std::size_t>(cell.number("resource_domains"));
+        sim::Scenario scenario = bench::scenario_from_flags(cli);
+        scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+        scenario.grid.min_resource_domains = rds;
+        scenario.grid.max_resource_domains = rds;
+        return scenario;
+      });
+  for (const lab::ManifestCell& cell : manifest.cells) {
+    const double unaware = cell.metric("unaware.makespan").mean;
+    const double rel_ci = cell.metric("makespan_diff").ci95 / unaware * 100.0;
+    table.add_row({format_grouped(cell.params[0].second.number(), 0),
+                   format_grouped(unaware, 1),
+                   format_grouped(cell.metric("aware.makespan").mean, 1),
+                   format_percent(cell.metric("improvement_pct").mean),
                    "+/- " + format_percent(rel_ci)});
   }
   std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());

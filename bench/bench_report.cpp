@@ -1,10 +1,11 @@
 // One-shot Markdown report: regenerates every paper table and emits a
 // single document (stdout) suitable for pasting into an issue or a wiki.
 //
-//   --json-reports   append the per-row obs::RunReport dump as fenced JSON
+//   --json-reports   append every table's paired-sweep metrics as fenced JSON
 //   --metrics-out    dump internal des/trust/sched metrics (JSON or CSV)
 #include <iostream>
 
+#include "lab/render.hpp"
 #include "net/report.hpp"
 #include "obs/export.hpp"
 #include "sfi/harness.hpp"
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
                 "Regenerates all paper tables as one Markdown report");
   bench::add_common_flags(cli);
   cli.add_flag("json-reports",
-               "append every comparison's RunReport as one JSON document");
+               "append every table's sweep metrics as one JSON document");
   cli.parse(argc, argv);
   const auto replications =
       static_cast<std::size_t>(cli.get_int("replications"));
@@ -70,32 +71,43 @@ int main(int argc, char** argv) {
       {"8", "sufferage", true, false, "39.66% / 38.40%"},
       {"9", "sufferage", true, true, "32.67% / 33.19%"},
   };
-  // Every comparison's RunReport, merged under table<N>.tasks<M> prefixes:
-  // one uniform name -> value document instead of hand-rolled row structs.
+  // Every table cell's aggregates, merged under table<N>.tasks<M> prefixes:
+  // one uniform name -> value document built from the sweep manifests.
   obs::RunReport combined;
   for (const TableSpec& spec : specs) {
-    std::vector<sim::ComparisonResult> rows;
-    for (const std::int64_t tasks :
-         {cli.get_int("tasks-a"), cli.get_int("tasks-b")}) {
-      sim::ScenarioBuilder builder = bench::builder_from_flags(cli);
-      builder.tasks(static_cast<std::size_t>(tasks))
-          .heuristic(spec.heuristic);
-      if (spec.batch) builder.batch(cli.get_double("batch-interval"));
-      if (spec.consistent) {
-        builder.consistent();
-      } else {
-        builder.inconsistent();
+    const lab::Manifest manifest = bench::run_paired_sweep(
+        cli, "table" + std::string(spec.number),
+        {{"tasks", {static_cast<double>(cli.get_int("tasks-a")),
+                    static_cast<double>(cli.get_int("tasks-b"))}}},
+        [&](const lab::Cell& cell) {
+          sim::ScenarioBuilder builder = bench::builder_from_flags(cli);
+          builder.tasks(static_cast<std::size_t>(cell.number("tasks")))
+              .heuristic(spec.heuristic);
+          if (spec.batch) builder.batch(cli.get_double("batch-interval"));
+          if (spec.consistent) {
+            builder.consistent();
+          } else {
+            builder.inconsistent();
+          }
+          return builder.build();
+        });
+    for (const lab::ManifestCell& cell : manifest.cells) {
+      const std::string prefix =
+          "table" + std::string(spec.number) + ".tasks" +
+          std::to_string(
+              static_cast<std::int64_t>(cell.params[0].second.number())) +
+          ".";
+      for (const auto& [name, metric] : cell.metrics) {
+        combined.set(prefix + name, metric.mean);
+        if (metric.n >= 2) combined.set(prefix + name + "_ci95", metric.ci95);
       }
-      rows.push_back(sim::run_comparison(builder.build(), replications, seed));
-      combined.merge("table" + std::string(spec.number) + ".tasks" +
-                         std::to_string(tasks),
-                     rows.back().report());
     }
     const std::string title =
         std::string("Table ") + spec.number + ". " + spec.heuristic + ", " +
         (spec.consistent ? "consistent" : "inconsistent") +
         " LoLo (paper improvements: " + spec.paper + ")";
-    std::cout << sim::paper_table(title, rows).to_markdown() << "\n";
+    std::cout << lab::paper_schedule_table(title, manifest).to_markdown()
+              << "\n";
   }
 
   std::cout << "## Headline improvements\n\n";

@@ -11,9 +11,6 @@ int main(int argc, char** argv) {
                 "Trust-aware advantage vs Grid size and workload size");
   bench::add_common_flags(cli);
   cli.parse(argc, argv);
-  const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   TextTable table({"machines", "RDs", "tasks", "unaware makespan",
                    "aware makespan", "improvement"});
@@ -26,22 +23,34 @@ int main(int argc, char** argv) {
   const std::vector<Point> points = {
       {2, 2, 50},   {5, 4, 50},    {5, 4, 100},  {8, 6, 200},
       {16, 8, 400}, {32, 12, 800}, {64, 16, 1600}};
-  for (const Point& pt : points) {
-    sim::Scenario scenario = bench::scenario_from_flags(cli);
-    scenario.tasks = pt.tasks;
-    scenario.grid.machines = pt.machines;
-    scenario.grid.max_resource_domains = pt.max_rd;
-    scenario.grid.min_resource_domains = std::min<std::size_t>(2, pt.max_rd);
-    scenario.requests.arrival_rate =
-        static_cast<double>(pt.machines) / 5.0;  // keep the system saturated
-    const auto r = sim::run_comparison(scenario, replications, seed);
+  const auto min_rd = [](const Point& pt) {
+    return std::min<std::size_t>(2, pt.max_rd);
+  };
+  lab::Axis point_axis{"point", {}};
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    point_axis.values.emplace_back(static_cast<double>(i));
+  }
+  const lab::Manifest manifest = bench::run_paired_sweep(
+      cli, "scale", {point_axis}, [&](const lab::Cell& cell) {
+        const Point& pt = points[cell.index];
+        sim::Scenario scenario = bench::scenario_from_flags(cli);
+        scenario.tasks = pt.tasks;
+        scenario.grid.machines = pt.machines;
+        scenario.grid.max_resource_domains = pt.max_rd;
+        scenario.grid.min_resource_domains = min_rd(pt);
+        // Keep the system saturated.
+        scenario.requests.arrival_rate = static_cast<double>(pt.machines) / 5.0;
+        return scenario;
+      });
+  for (const lab::ManifestCell& cell : manifest.cells) {
+    const Point& pt = points[cell.index];
     table.add_row({std::to_string(pt.machines),
-                   "[" + std::to_string(scenario.grid.min_resource_domains) +
-                       "," + std::to_string(pt.max_rd) + "]",
+                   "[" + std::to_string(min_rd(pt)) + "," +
+                       std::to_string(pt.max_rd) + "]",
                    std::to_string(pt.tasks),
-                   format_grouped(r.unaware.makespan.mean(), 1),
-                   format_grouped(r.aware.makespan.mean(), 1),
-                   format_percent(r.improvement_pct)});
+                   format_grouped(cell.metric("unaware.makespan").mean, 1),
+                   format_grouped(cell.metric("aware.makespan").mean, 1),
+                   format_percent(cell.metric("improvement_pct").mean)});
   }
   std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());
   std::cout << "\nreading: the advantage persists essentially unchanged as the "

@@ -6,6 +6,7 @@
 // the data-to-compute spectrum that starts to matter.
 #include <iostream>
 
+#include "common/stats.hpp"
 #include "sim/staging.hpp"
 #include "support.hpp"
 

@@ -13,9 +13,6 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_int("tasks", 50, "tasks per replication");
   cli.parse(argc, argv);
-  const auto replications =
-      static_cast<std::size_t>(cli.get_int("replications"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   const std::vector<double> weights = {0.0, 5.0, 10.0, 15.0, 20.0, 30.0};
   const std::vector<double> blankets = {10.0, 25.0, 50.0, 75.0, 100.0};
@@ -26,15 +23,23 @@ int main(int argc, char** argv) {
   table.set_title(
       "Improvement surface (MCT, inconsistent LoLo; paper point: weight 15, "
       "blanket 50)");
-  for (const double w : weights) {
-    std::vector<std::string> row{format_grouped(w, 0) + "%"};
-    for (const double b : blankets) {
-      sim::Scenario scenario = bench::scenario_from_flags(cli);
-      scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
-      scenario.security.tc_weight_pct = w;
-      scenario.security.blanket_pct = b;
-      const auto r = sim::run_comparison(scenario, replications, seed);
-      row.push_back(format_percent(r.improvement_pct));
+  const lab::Manifest manifest = bench::run_paired_sweep(
+      cli, "surface",
+      {{"tc_weight", {weights.begin(), weights.end()}},
+       {"blanket", {blankets.begin(), blankets.end()}}},
+      [&](const lab::Cell& cell) {
+        sim::Scenario scenario = bench::scenario_from_flags(cli);
+        scenario.tasks = static_cast<std::size_t>(cli.get_int("tasks"));
+        scenario.security.tc_weight_pct = cell.number("tc_weight");
+        scenario.security.blanket_pct = cell.number("blanket");
+        return scenario;
+      });
+  // Row-major cells: one table row per TC weight, one column per blanket.
+  for (std::size_t w = 0; w < weights.size(); ++w) {
+    std::vector<std::string> row{format_grouped(weights[w], 0) + "%"};
+    for (std::size_t b = 0; b < blankets.size(); ++b) {
+      const lab::ManifestCell& cell = manifest.cells[w * blankets.size() + b];
+      row.push_back(format_percent(cell.metric("improvement_pct").mean));
     }
     table.add_row(std::move(row));
   }

@@ -8,6 +8,7 @@
 // analysis.
 #include <iostream>
 
+#include "common/stats.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {

@@ -45,6 +45,17 @@ sim::Scenario scenario_from_flags(const CliParser& cli) {
   return builder_from_flags(cli).build();
 }
 
+lab::Manifest run_paired_sweep(
+    const CliParser& cli, const std::string& name, std::vector<lab::Axis> axes,
+    std::function<sim::Scenario(const lab::Cell&)> scenario_for) {
+  lab::SweepSpec spec =
+      lab::paired_spec(std::move(axes), std::move(scenario_for));
+  spec.name = name;
+  spec.replications = static_cast<std::size_t>(cli.get_int("replications"));
+  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  return lab::run_sweep(spec).manifest;
+}
+
 sim::ScenarioBuilder closed_loop_builder(
     std::size_t client_domains, const std::vector<double>& rd_conduct) {
   return sim::ScenarioBuilder()

@@ -1,6 +1,6 @@
 // Shared scaffolding for the bench binaries.
 //
-// Two families live here:
+// Three families live here:
 //
 //   * Catalog-backed benches (the six paper tables, the chaos robustness
 //     sweep, the pricing and batch-interval ablations) are thin wrappers
@@ -11,13 +11,15 @@
 //
 //   * Scenario benches that explore parameters no catalog spec fixes keep
 //     the original flag set: `add_common_flags` + `builder_from_flags` /
-//     `scenario_from_flags`.
+//     `scenario_from_flags`.  Their trust-aware vs unaware comparisons run
+//     on the same engine through `run_paired_sweep` (lab::paired_spec).
 //
 //   * Closed-loop benches run chaos campaigns on a small fixed-shape Grid
 //     whose resource domains are pinned to known conduct:
 //     `closed_loop_builder`.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,13 @@ sim::ScenarioBuilder builder_from_flags(const CliParser& cli);
 
 /// Builds the base scenario for Tables 4-9 from parsed flags.
 sim::Scenario scenario_from_flags(const CliParser& cli);
+
+/// Runs a paired trust-aware vs unaware sweep (lab::paired_spec) over
+/// `axes` serially, with --replications and --seed from the shared flags,
+/// and returns its manifest: one cell per grid point, in row-major order.
+lab::Manifest run_paired_sweep(
+    const CliParser& cli, const std::string& name, std::vector<lab::Axis> axes,
+    std::function<sim::Scenario(const lab::Cell&)> scenario_for);
 
 /// A closed-loop campaign scenario: 6 machines, `client_domains` CDs, and
 /// one RD per entry of `rd_conduct`, pinned to that latent conduct mean

@@ -16,9 +16,8 @@ namespace gridtrust::lab {
 
 namespace {
 
-/// One paired replication on common random numbers — the unit the engine
-/// replicates and aggregates.  Mirrors sim::run_comparison's inner loop but
-/// reports through RunReport so any sweep can consume it.
+/// One paired replication on common random numbers: both policies schedule
+/// the identical instance drawn from `rep_seed`.
 obs::RunReport paired_replication(const sim::Scenario& scenario,
                                   std::uint64_t rep_seed) {
   Rng rng(rep_seed);
@@ -39,15 +38,18 @@ obs::RunReport paired_replication(const sim::Scenario& scenario,
   report.set("aware.mean_flow_time", aware.mean_flow_time);
   report.set("aware.flow_time_p95", aware.flow_time_p95);
   report.set("aware.batches", static_cast<double>(aware.batches));
-  // The paired difference: its aggregate ci95 *is* the common-random-numbers
-  // confidence interval of run_comparison's makespan_cmp.
+  // The paired difference: its aggregate ci95 is the common-random-numbers
+  // confidence interval of the makespan comparison.
   report.set("makespan_diff", unaware.makespan - aware.makespan);
+  if (!scenario.chaos.empty()) {
+    report.set_count("chaos.faults_injected", instance.faults.windows_applied);
+  }
   return report;
 }
 
 /// Adds the improvement-of-means and paired-significance scalars every
 /// trust-aware-vs-unaware sweep reports.
-void finalize_paired(AggregateSet& aggregate) {
+void finalize_paired(const Cell&, AggregateSet& aggregate) {
   const MetricAggregate diff = aggregate.get("makespan_diff");
   const double base = aggregate.mean("unaware.makespan");
   aggregate.set_derived("improvement_pct",
@@ -59,7 +61,23 @@ void finalize_paired(AggregateSet& aggregate) {
 SweepSpec paper_table_spec(const std::string& number,
                            const std::string& heuristic, bool batch,
                            bool consistent, const std::string& paper_numbers) {
-  SweepSpec spec;
+  SweepSpec spec = paired_spec(
+      {{"tasks", {50, 100}}}, [heuristic, batch, consistent](const Cell& cell) {
+        sim::ScenarioBuilder builder;
+        builder.tasks(static_cast<std::size_t>(cell.number("tasks")))
+            .heuristic(heuristic);
+        if (batch) {
+          builder.batch(30.0);
+        } else {
+          builder.immediate();
+        }
+        if (consistent) {
+          builder.consistent();
+        } else {
+          builder.inconsistent();
+        }
+        return builder.build();
+      });
   spec.name = "table" + number;
   spec.title = "Table " + number + ": " + heuristic + ", " +
                (consistent ? "consistent" : "inconsistent") +
@@ -67,30 +85,7 @@ SweepSpec paper_table_spec(const std::string& number,
   spec.paper_ref = "Table " + number + " (§5.3)";
   spec.expected = "trust-aware wins both task counts significantly; paper "
                   "improvements " + paper_numbers;
-  spec.axes = {{"tasks", {50, 100}}};
   spec.replications = 50;
-  spec.run = [heuristic, batch, consistent](const Cell& cell,
-                                            std::uint64_t rep_seed) {
-    sim::ScenarioBuilder builder;
-    builder.tasks(static_cast<std::size_t>(cell.number("tasks")))
-        .heuristic(heuristic);
-    if (batch) {
-      builder.batch(30.0);
-    } else {
-      builder.immediate();
-    }
-    if (consistent) {
-      builder.consistent();
-    } else {
-      builder.inconsistent();
-    }
-    return paired_replication(builder.build(), rep_seed);
-  };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
-  spec.display_metrics = {"unaware.makespan", "aware.makespan",
-                          "improvement_pct", "significant"};
   return spec;
 }
 
@@ -154,7 +149,27 @@ SweepSpec chaos_robustness_spec() {
 }
 
 SweepSpec pricing_ablation_spec(bool sweep_weight) {
-  SweepSpec spec;
+  std::vector<Axis> axes;
+  if (sweep_weight) {
+    axes = {{"tc_weight", {0, 5, 10, 15, 20, 25, 30}}};
+  } else {
+    axes = {{"blanket", {10, 25, 50, 75, 100}}};
+  }
+  SweepSpec spec = paired_spec(
+      std::move(axes), [sweep_weight](const Cell& cell) {
+        sim::Scenario scenario = sim::ScenarioBuilder()
+                                     .tasks(50)
+                                     .heuristic("mct")
+                                     .immediate()
+                                     .inconsistent()
+                                     .build();
+        if (sweep_weight) {
+          scenario.security.tc_weight_pct = cell.number("tc_weight");
+        } else {
+          scenario.security.blanket_pct = cell.number("blanket");
+        }
+        return scenario;
+      });
   spec.name = sweep_weight ? "ablation_trust_weight" : "ablation_blanket";
   spec.title = sweep_weight
                    ? "ESC pricing ablation: TC weight sweep (blanket 50%)"
@@ -165,53 +180,28 @@ SweepSpec pricing_ablation_spec(bool sweep_weight) {
                       ? "heavier TC pricing erodes the trust-aware advantage"
                       : "a cheaper blanket erodes it from the other side; "
                         "blanket 10% makes the unaware baseline win";
-  if (sweep_weight) {
-    spec.axes = {{"tc_weight", {0, 5, 10, 15, 20, 25, 30}}};
-  } else {
-    spec.axes = {{"blanket", {10, 25, 50, 75, 100}}};
-  }
   spec.replications = 50;
-  spec.run = [sweep_weight](const Cell& cell, std::uint64_t rep_seed) {
-    sim::Scenario scenario =
-        sim::ScenarioBuilder().tasks(50).heuristic("mct").immediate()
-            .inconsistent()
-            .build();
-    if (sweep_weight) {
-      scenario.security.tc_weight_pct = cell.number("tc_weight");
-    } else {
-      scenario.security.blanket_pct = cell.number("blanket");
-    }
-    return paired_replication(scenario, rep_seed);
-  };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
   spec.display_metrics = {"improvement_pct", "significant"};
   return spec;
 }
 
 SweepSpec batch_interval_spec() {
-  SweepSpec spec;
+  SweepSpec spec = paired_spec({{"heuristic", {"min-min", "sufferage"}},
+                                {"interval", {5, 15, 30, 60, 120}}},
+                               [](const Cell& cell) {
+                                 return sim::ScenarioBuilder()
+                                     .tasks(100)
+                                     .heuristic(cell.text("heuristic"))
+                                     .batch(cell.number("interval"))
+                                     .inconsistent()
+                                     .build();
+                               });
   spec.name = "ablation_batch_interval";
   spec.title = "Meta-request interval sweep (inconsistent LoLo, 100 tasks)";
   spec.paper_ref = "§4.1 batch mode (the paper fixes the interval at 30 s)";
   spec.expected = "long intervals trade flow time for marginal makespan "
                   "movement";
-  spec.axes = {{"heuristic", {"min-min", "sufferage"}},
-               {"interval", {5, 15, 30, 60, 120}}};
   spec.replications = 50;
-  spec.run = [](const Cell& cell, std::uint64_t rep_seed) {
-    const sim::Scenario scenario = sim::ScenarioBuilder()
-                                       .tasks(100)
-                                       .heuristic(cell.text("heuristic"))
-                                       .batch(cell.number("interval"))
-                                       .inconsistent()
-                                       .build();
-    return paired_replication(scenario, rep_seed);
-  };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
   spec.display_metrics = {"aware.batches", "aware.makespan",
                           "aware.mean_flow_time", "improvement_pct"};
   return spec;
@@ -467,27 +457,20 @@ SweepSpec deadlines_spec() {
 }
 
 SweepSpec smoke_spec() {
-  SweepSpec spec;
+  SweepSpec spec = paired_spec({{"tasks", {20}}}, [](const Cell& cell) {
+    return sim::ScenarioBuilder()
+        .tasks(static_cast<std::size_t>(cell.number("tasks")))
+        .heuristic("mct")
+        .immediate()
+        .inconsistent()
+        .build();
+  });
   spec.name = "smoke";
   spec.title = "CI smoke sweep: one small Table 4 condition";
   spec.paper_ref = "Table 4, shrunk for CI (baselines/smoke.json)";
   spec.expected = "trust-aware wins; gated against the committed baseline";
-  spec.axes = {{"tasks", {20}}};
   spec.replications = 6;
   spec.tolerance_pct = 2.5;
-  spec.run = [](const Cell& cell, std::uint64_t rep_seed) {
-    const sim::Scenario scenario =
-        sim::ScenarioBuilder()
-            .tasks(static_cast<std::size_t>(cell.number("tasks")))
-            .heuristic("mct")
-            .immediate()
-            .inconsistent()
-            .build();
-    return paired_replication(scenario, rep_seed);
-  };
-  spec.finalize = [](const Cell&, AggregateSet& aggregate) {
-    finalize_paired(aggregate);
-  };
   spec.display_metrics = {"unaware.makespan", "aware.makespan",
                           "improvement_pct"};
   return spec;
@@ -562,6 +545,20 @@ std::vector<std::string> resolve_run_names(const std::string& name) {
   }
   if (find_spec(name) != nullptr) return {name};
   return {};
+}
+
+SweepSpec paired_spec(std::vector<Axis> axes,
+                      std::function<sim::Scenario(const Cell&)> scenario_for) {
+  SweepSpec spec;
+  spec.axes = std::move(axes);
+  spec.run = [scenario_for = std::move(scenario_for)](const Cell& cell,
+                                                      std::uint64_t rep_seed) {
+    return paired_replication(scenario_for(cell), rep_seed);
+  };
+  spec.finalize = finalize_paired;
+  spec.display_metrics = {"unaware.makespan", "aware.makespan",
+                          "improvement_pct", "significant"};
+  return spec;
 }
 
 }  // namespace gridtrust::lab

@@ -12,6 +12,7 @@
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/sync.hpp"
+#include "common/thread_pool.hpp"
 #include "lab/cache.hpp"
 #include "lab/journal.hpp"
 #include "obs/metrics.hpp"
@@ -399,10 +400,10 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
     if (options.on_unit_complete) options.on_unit_complete();
   };
 
-  ThreadPool* pool = options.pool;
+  ThreadPool* pool = nullptr;
   std::unique_ptr<ThreadPool> owned;
-  if (pool == nullptr && options.jobs == 0) pool = &ThreadPool::shared();
-  if (pool == nullptr && options.jobs >= 2) {
+  if (options.jobs == 0) pool = &ThreadPool::shared();
+  if (options.jobs >= 2) {
     owned = std::make_unique<ThreadPool>(options.jobs);
     pool = owned.get();
   }

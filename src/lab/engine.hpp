@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/retry.hpp"
-#include "common/thread_pool.hpp"
 #include "lab/manifest.hpp"
 #include "lab/spec.hpp"
 
@@ -39,9 +38,6 @@ struct EngineOptions {
   std::optional<std::size_t> replications;
   /// Result-cache directory; empty disables caching.
   std::string cache_dir;
-  /// External pool to fan out on (overrides `jobs` when set).  The engine
-  /// never nests parallel_for, so sharing one pool across layers is safe.
-  ThreadPool* pool = nullptr;
 
   /// Per-unit retry policy.  Failed units re-run with their original
   /// derived seed (determinism preserved); transient classes (resource,

@@ -136,6 +136,20 @@ std::uint64_t parse_hex64(const std::string& text) {
 
 }  // namespace
 
+const MetricAggregate* ManifestCell::find_metric(
+    const std::string& name) const {
+  for (const auto& [key, value] : metrics) {
+    if (key == name) return &value;
+  }
+  return nullptr;
+}
+
+const MetricAggregate& ManifestCell::metric(const std::string& name) const {
+  const MetricAggregate* found = find_metric(name);
+  GT_REQUIRE(found != nullptr, "manifest cell has no metric: " + name);
+  return *found;
+}
+
 std::string to_string(CellStatus status) {
   switch (status) {
     case CellStatus::kOk: return "ok";
@@ -315,13 +329,7 @@ CompareResult compare_manifests(const Manifest& candidate,
                            " vs baseline " + to_string(base_cell.status));
     }
     for (const auto& [name, base_m] : base_cell.metrics) {
-      const MetricAggregate* cand_m = nullptr;
-      for (const auto& [cname, cm] : cand_cell->metrics) {
-        if (cname == name) {
-          cand_m = &cm;
-          break;
-        }
-      }
+      const MetricAggregate* cand_m = cand_cell->find_metric(name);
       if (cand_m == nullptr) {
         fail(where_cell + " metric " + name, "missing from candidate");
         continue;

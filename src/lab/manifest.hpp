@@ -77,6 +77,11 @@ struct ManifestCell {
   std::vector<std::pair<std::string, MetricAggregate>> metrics;
   /// Exhausted units, ordered by replication index; empty when status ok.
   std::vector<UnitFailure> failures;
+
+  /// The aggregate of metric `name`, or nullptr when the cell lacks it.
+  const MetricAggregate* find_metric(const std::string& name) const;
+  /// As find_metric, but throws PreconditionError when the cell lacks it.
+  const MetricAggregate& metric(const std::string& name) const;
 };
 
 /// The whole document.

@@ -1,22 +1,12 @@
 #include "lab/render.hpp"
 
-#include "common/error.hpp"
-
 namespace gridtrust::lab {
 
 namespace {
 
-const MetricAggregate* find_metric(const ManifestCell& cell,
-                                   const std::string& name) {
-  for (const auto& [key, value] : cell.metrics) {
-    if (key == name) return &value;
-  }
-  return nullptr;
-}
-
 std::string metric_cell_text(const ManifestCell& cell,
                              const std::string& name) {
-  const MetricAggregate* m = find_metric(cell, name);
+  const MetricAggregate* m = cell.find_metric(name);
   if (m == nullptr) return "-";
   std::string out = format_grouped(m->mean, 2);
   if (m->n >= 2) out += " ± " + format_grouped(m->ci95, 2);
@@ -59,26 +49,19 @@ TextTable paper_schedule_table(const std::string& title,
   table.set_title(title);
   bool first = true;
   for (const ManifestCell& cell : manifest.cells) {
-    const MetricAggregate* un_util =
-        find_metric(cell, "unaware.utilization_pct");
-    const MetricAggregate* un_mk = find_metric(cell, "unaware.makespan");
-    const MetricAggregate* aw_util = find_metric(cell, "aware.utilization_pct");
-    const MetricAggregate* aw_mk = find_metric(cell, "aware.makespan");
-    const MetricAggregate* improvement = find_metric(cell, "improvement_pct");
-    GT_REQUIRE(un_util != nullptr && un_mk != nullptr && aw_util != nullptr &&
-                   aw_mk != nullptr && improvement != nullptr,
-               "manifest lacks the paired schedule metrics");
     std::string tasks = "?";
     for (const auto& [key, value] : cell.params) {
       if (key == "tasks") tasks = format_grouped(value.number(), 0);
     }
     if (!first) table.add_separator();
     first = false;
-    table.add_row({tasks, "No", format_percent(un_util->mean),
-                   format_grouped(un_mk->mean, 2),
-                   format_percent(improvement->mean)});
-    table.add_row({"", "Yes", format_percent(aw_util->mean),
-                   format_grouped(aw_mk->mean, 2), ""});
+    table.add_row({tasks, "No",
+                   format_percent(cell.metric("unaware.utilization_pct").mean),
+                   format_grouped(cell.metric("unaware.makespan").mean, 2),
+                   format_percent(cell.metric("improvement_pct").mean)});
+    table.add_row({"", "Yes",
+                   format_percent(cell.metric("aware.utilization_pct").mean),
+                   format_grouped(cell.metric("aware.makespan").mean, 2), ""});
   }
   return table;
 }
@@ -86,9 +69,9 @@ TextTable paper_schedule_table(const std::string& title,
 std::vector<std::string> paired_summaries(const Manifest& manifest) {
   std::vector<std::string> out;
   for (const ManifestCell& cell : manifest.cells) {
-    const MetricAggregate* diff = find_metric(cell, "makespan_diff");
-    const MetricAggregate* base = find_metric(cell, "unaware.makespan");
-    const MetricAggregate* improvement = find_metric(cell, "improvement_pct");
+    const MetricAggregate* diff = cell.find_metric("makespan_diff");
+    const MetricAggregate* base = cell.find_metric("unaware.makespan");
+    const MetricAggregate* improvement = cell.find_metric("improvement_pct");
     if (diff == nullptr || base == nullptr || improvement == nullptr) continue;
     const double rel_ci =
         base->mean > 0.0 ? diff->ci95 / base->mean * 100.0 : 0.0;

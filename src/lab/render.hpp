@@ -22,7 +22,8 @@ TextTable sweep_table(const SweepSpec& spec, const Manifest& manifest);
 
 /// The exact layout of the paper's Tables 4-9 (task-count rows, Using-trust
 /// No/Yes pairs) from a manifest whose cells carry the paired metrics
-/// (unaware.*, aware.*, improvement_pct).
+/// (unaware.*, aware.*, improvement_pct); throws PreconditionError when a
+/// cell lacks one.
 TextTable paper_schedule_table(const std::string& title,
                                const Manifest& manifest);
 

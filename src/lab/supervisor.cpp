@@ -71,7 +71,6 @@ int worker_main(const FrameWriter& writer, const SweepSpec& spec,
 
   EngineOptions options = engine;
   options.jobs = 1;  // the parallelism IS the process fan-out
-  options.pool = nullptr;
   options.cell_subset = &subset;
   options.journal_path = journal_path;
   options.resume_journal = journal_path;  // missing file == empty journal

@@ -1,7 +1,7 @@
 // Observability: the canonical run-result container.
 //
-// Every simulation entry point (sim::SimulationResult, sim::ComparisonResult,
-// chaos::CampaignResult, bench rows) can render itself as a
+// Every simulation entry point (sim::SimulationResult, chaos::CampaignResult,
+// econ::MarketCampaignResult, one lab sweep unit) can render itself as a
 // RunReport — an ordered name → scalar / series map with one JSON and one
 // CSV serialization — so downstream tooling consumes a single shape instead
 // of one hand-rolled struct per bench.

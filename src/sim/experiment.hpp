@@ -1,24 +1,18 @@
-// Replicated trust-aware vs trust-unaware experiments (Tables 4-9).
+// Experimental conditions and instance drawing for the trust-aware vs
+// trust-unaware studies (Tables 4-9).
 //
-// One replication draws a random Grid topology, trust-level table, EEC
-// matrix, and request stream from a per-replication RNG stream, then runs
-// the RMS twice on the *same* instance: once trust-unaware, once
-// trust-aware (common random numbers).  Rows aggregate means and paired
-// confidence intervals across replications.
+// A Scenario fixes one condition; draw_instance draws one random Grid
+// topology, trust-level table, EEC matrix, and request stream from it.  The
+// paired replication that schedules one instance under both policies (common
+// random numbers) and the replicated sweep over it live in the lab layer
+// (lab::paired_spec in lab/catalog.hpp).
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "chaos/config.hpp"
-#include "common/stats.hpp"
 #include "econ/config.hpp"
-#include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "grid/grid_system.hpp"
-#include "obs/report.hpp"
 #include "sim/trm_simulation.hpp"
 #include "trust/reputation_policy.hpp"
 #include "workload/heterogeneity.hpp"
@@ -45,8 +39,8 @@ struct Scenario {
   TrmsConfig rms;
   /// Adversaries and faults (gridtrust::chaos).  Empty (the default) leaves
   /// every path untouched — results are bit-identical to a scenario without
-  /// the field.  The static experiment path applies the machine faults to
-  /// each drawn instance's EEC matrix; adversary behaviour only matters to
+  /// the field.  draw_instance applies the machine faults to each drawn
+  /// instance's EEC matrix; adversary behaviour only matters to
   /// the closed-loop campaign driver (chaos::run_campaign).
   chaos::CampaignConfig chaos;
   /// Reputation backend forming trust in closed-loop campaigns (default:
@@ -62,43 +56,6 @@ struct Scenario {
 
   Scenario() { requests.arrival_rate = 1.0; }
 };
-
-/// Aggregates of one policy over all replications.
-struct PolicyStats {
-  RunningStats makespan;
-  RunningStats utilization_pct;
-  RunningStats mean_flow_time;
-  RunningStats flow_time_p95;
-  RunningStats batches;
-};
-
-/// One trust-unaware vs trust-aware comparison (a pair of table rows).
-struct ComparisonResult {
-  Scenario scenario;
-  std::size_t replications = 0;
-  PolicyStats unaware;
-  PolicyStats aware;
-  /// Paired statistics of the makespans (common random numbers).
-  PairedComparison makespan_cmp;
-  /// The paper's headline number: mean improvement of the makespan.
-  double improvement_pct = 0.0;
-  /// Chaos accounting summed over replications (all zero for clean runs).
-  chaos::ChaosCounters chaos;
-
-  /// Aggregates as a uniform obs::RunReport.  Per-policy means live under
-  /// `unaware.*` / `aware.*` (makespan, utilization_pct, mean_flow_time,
-  /// flow_time_p95, batches); the paired comparison under `makespan_cmp.*`;
-  /// plus top-level replications, tasks, and improvement_pct.  Scenarios
-  /// with a non-empty chaos config additionally carry the chaos.* counters.
-  obs::RunReport report() const;
-};
-
-/// Runs `replications` paired simulations of `scenario`.  Seeds derive from
-/// `seed`; pass a thread pool to spread replications over workers (results
-/// are identical either way).
-ComparisonResult run_comparison(const Scenario& scenario,
-                                std::size_t replications, std::uint64_t seed,
-                                ThreadPool* pool = nullptr);
 
 /// One fully drawn instance: topology, trust table, requests, and the
 /// scheduling problem bound to a policy.  Exposed so ablation benches and
@@ -123,13 +80,5 @@ Instance draw_instance(const Scenario& scenario,
 /// ablation benches that want non-paper policy combinations.
 SimulationResult run_single(const Scenario& scenario,
                             const sched::SchedulingPolicy& policy, Rng rng);
-
-/// Renders rows in the exact layout of the paper's Tables 4-9; pass the
-/// results for each task count (e.g. 50 and 100).
-TextTable paper_table(const std::string& title,
-                      const std::vector<ComparisonResult>& rows);
-
-/// A one-line summary ("improvement 36.4 % ± 1.2 %") for logs.
-std::string summarize(const ComparisonResult& result);
 
 }  // namespace gridtrust::sim

@@ -12,6 +12,8 @@
 #include "common/error.hpp"
 #include "common/fs.hpp"
 #include "des/simulator.hpp"
+#include "lab/manifest.hpp"
+#include "paired_cell.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
 #include "trust/trust_engine.hpp"
@@ -465,15 +467,16 @@ TEST(ChaosCampaign, EmptyConfigKeepsExperimentsBitIdentical) {
   ASSERT_TRUE(plain.chaos.empty());
   sim::Scenario with_field = plain;
   with_field.chaos = chaos::CampaignConfig{};
-  const std::string a = sim::run_comparison(plain, 5, 7).report().to_json();
+  const std::string a =
+      lab::cell_to_json(test_support::run_paired_cell(plain, 5, 7));
   const std::string b =
-      sim::run_comparison(with_field, 5, 7).report().to_json();
+      lab::cell_to_json(test_support::run_paired_cell(with_field, 5, 7));
   EXPECT_EQ(a, b);
 }
 
 TEST(ChaosStaticPath, MachineFaultsRaiseUnawareCosts) {
   // A permanent slowdown on every machine must show up in the drawn
-  // instance's costs and in the comparison's fault accounting.
+  // instance's costs and in the paired sweep's fault accounting.
   chaos::FaultSpec slow;
   slow.kind = chaos::FaultKind::kMachineSlowdown;
   slow.target = chaos::kAllTargets;
@@ -483,15 +486,19 @@ TEST(ChaosStaticPath, MachineFaultsRaiseUnawareCosts) {
   const sim::Scenario clean = sim::ScenarioBuilder().heuristic("mct").build();
   const sim::Scenario faulty =
       sim::ScenarioBuilder().heuristic("mct").with_faults({slow}).build();
-  const sim::ComparisonResult clean_run = sim::run_comparison(clean, 5, 7);
-  const sim::ComparisonResult faulty_run = sim::run_comparison(faulty, 5, 7);
-  EXPECT_EQ(clean_run.chaos.faults_injected, 0u);
-  EXPECT_EQ(faulty_run.chaos.faults_injected, 5u);  // one window x 5 reps
-  EXPECT_GT(faulty_run.aware.makespan.mean(),
-            clean_run.aware.makespan.mean());
-  // The chaos.* keys surface in the report only for chaos scenarios.
-  EXPECT_FALSE(clean_run.report().has("chaos.faults_injected"));
-  EXPECT_DOUBLE_EQ(faulty_run.report().get("chaos.faults_injected"), 5.0);
+  const lab::ManifestCell clean_run =
+      test_support::run_paired_cell(clean, 5, 7);
+  const lab::ManifestCell faulty_run =
+      test_support::run_paired_cell(faulty, 5, 7);
+  // One window per replication, in each of the 5 replications.
+  const lab::MetricAggregate& faults =
+      faulty_run.metric("chaos.faults_injected");
+  EXPECT_EQ(faults.n, 5u);
+  EXPECT_DOUBLE_EQ(faults.mean * static_cast<double>(faults.n), 5.0);
+  EXPECT_GT(faulty_run.metric("aware.makespan").mean,
+            clean_run.metric("aware.makespan").mean);
+  // The chaos.* keys surface in the cell only for chaos scenarios.
+  EXPECT_EQ(clean_run.find_metric("chaos.faults_injected"), nullptr);
 }
 
 TEST(ChaosConfig, CountersAggregateAndReport) {

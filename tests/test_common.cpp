@@ -21,6 +21,8 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
+#include "lab/catalog.hpp"
+#include "lab/engine.hpp"
 
 namespace gridtrust {
 namespace {
@@ -357,26 +359,41 @@ TEST(Stats, PercentileIsMonotoneInP) {
   }
 }
 
-TEST(Stats, PairedComparisonBasics) {
-  const std::vector<double> base = {10, 12, 11, 13, 10};
-  const std::vector<double> treat = {7, 9, 8, 10, 7};
-  const PairedComparison cmp = paired_comparison(base, treat);
-  EXPECT_NEAR(cmp.mean_diff, 3.0, 1e-12);
-  EXPECT_NEAR(cmp.improvement_pct,
-              percent_improvement(cmp.mean_base, cmp.mean_treat), 1e-12);
-  EXPECT_TRUE(cmp.significant);  // constant difference of 3, zero variance
+// Paired-comparison statistics are derived by the paired sweep's finalize
+// hook (lab::paired_spec) from the per-replication makespan differences.
+lab::SweepSpec paired_stats_spec() {
+  return lab::paired_spec({{"tasks", {50}}},
+                          [](const lab::Cell&) { return sim::Scenario(); });
 }
 
 TEST(Stats, PairedComparisonInsignificantWhenNoisy) {
   const std::vector<double> base = {10, 2, 14, 3};
   const std::vector<double> treat = {2, 10, 3, 14};
-  const PairedComparison cmp = paired_comparison(base, treat);
-  EXPECT_FALSE(cmp.significant);
+  RunningStats unaware;
+  RunningStats diff;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    unaware.add(base[i]);
+    diff.add(base[i] - treat[i]);
+  }
+  lab::AggregateSet aggregate;
+  aggregate.set("unaware.makespan", {unaware.mean(), unaware.ci95_halfwidth(),
+                                     unaware.count()});
+  aggregate.set("makespan_diff",
+                {diff.mean(), diff.ci95_halfwidth(), diff.count()});
+  paired_stats_spec().finalize(lab::Cell{}, aggregate);
+  EXPECT_EQ(aggregate.mean("significant"), 0.0);
+  EXPECT_NEAR(aggregate.mean("improvement_pct"),
+              percent_improvement(mean_of(base), mean_of(treat)), 1e-12);
 }
 
 TEST(Stats, PairedComparisonValidation) {
-  EXPECT_THROW(paired_comparison({}, {}), PreconditionError);
-  EXPECT_THROW(paired_comparison({1.0}, {1.0, 2.0}), PreconditionError);
+  // No paired samples: finalize has nothing to compare, and a sweep without
+  // replications is rejected before it runs.
+  lab::SweepSpec spec = paired_stats_spec();
+  lab::AggregateSet empty;
+  EXPECT_THROW(spec.finalize(lab::Cell{}, empty), PreconditionError);
+  spec.replications = 0;
+  EXPECT_THROW((void)lab::run_sweep(spec), PreconditionError);
 }
 
 // ---------------------------------------------------------------- table

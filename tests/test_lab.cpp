@@ -284,6 +284,15 @@ TEST(CatalogTest, SmokeSpecMatchesItsCommittedBaselineShape) {
   EXPECT_TRUE(names.count("unaware.makespan"));
   EXPECT_TRUE(names.count("aware.makespan"));
   EXPECT_TRUE(names.count("improvement_pct"));
+  // The paired numbers themselves, gated exactly as CI's compare step does.
+  const Manifest baseline = parse_manifest(
+      read_file(std::string(GRIDTRUST_SOURCE_DIR) + "/baselines/smoke.json"));
+  const CompareResult gate = compare_manifests(run.manifest, baseline);
+  EXPECT_TRUE(gate.pass);
+  EXPECT_GT(gate.metrics_checked, 0u);
+  for (const Violation& v : gate.violations) {
+    ADD_FAILURE() << v.where << ": " << v.what;
+  }
 }
 
 // ------------------------------------------------ fault containment / retry

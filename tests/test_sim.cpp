@@ -1,7 +1,12 @@
-// Tests for the event-driven TRMS and the replicated experiment runner.
+// Tests for the event-driven TRMS, instance drawing, and the paired
+// trust-aware vs unaware experiment on the lab engine (lab::paired_spec).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "lab/catalog.hpp"
+#include "lab/engine.hpp"
+#include "lab/render.hpp"
+#include "paired_cell.hpp"
 #include "sched/executor.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenario_builder.hpp"
@@ -9,6 +14,8 @@
 
 namespace gridtrust::sim {
 namespace {
+
+using test_support::run_paired_cell;
 
 sched::SchedulingProblem make_problem(std::uint64_t seed, std::size_t n,
                                       std::size_t m, double arrival_rate,
@@ -150,47 +157,41 @@ TEST(Trms, UnknownHeuristicRejected) {
 TEST(Experiment, ReproducibleForSeed) {
   Scenario scenario;
   scenario.tasks = 30;
-  const ComparisonResult a = run_comparison(scenario, 5, 42);
-  const ComparisonResult b = run_comparison(scenario, 5, 42);
-  EXPECT_EQ(a.unaware.makespan.mean(), b.unaware.makespan.mean());
-  EXPECT_EQ(a.aware.makespan.mean(), b.aware.makespan.mean());
-  EXPECT_EQ(a.improvement_pct, b.improvement_pct);
+  const lab::ManifestCell a = run_paired_cell(scenario, 5, 42);
+  const lab::ManifestCell b = run_paired_cell(scenario, 5, 42);
+  EXPECT_EQ(a.metric("unaware.makespan").mean,
+            b.metric("unaware.makespan").mean);
+  EXPECT_EQ(a.metric("aware.makespan").mean, b.metric("aware.makespan").mean);
+  EXPECT_EQ(a.metric("improvement_pct").mean,
+            b.metric("improvement_pct").mean);
 }
 
 TEST(Experiment, DifferentSeedsDiffer) {
   Scenario scenario;
   scenario.tasks = 30;
-  const ComparisonResult a = run_comparison(scenario, 5, 1);
-  const ComparisonResult b = run_comparison(scenario, 5, 2);
-  EXPECT_NE(a.unaware.makespan.mean(), b.unaware.makespan.mean());
-}
-
-TEST(Experiment, ParallelPoolMatchesSerial) {
-  Scenario scenario;
-  scenario.tasks = 25;
-  ThreadPool pool(3);
-  const ComparisonResult serial = run_comparison(scenario, 8, 7);
-  const ComparisonResult parallel = run_comparison(scenario, 8, 7, &pool);
-  EXPECT_EQ(serial.unaware.makespan.mean(), parallel.unaware.makespan.mean());
-  EXPECT_EQ(serial.aware.makespan.mean(), parallel.aware.makespan.mean());
+  const lab::ManifestCell a = run_paired_cell(scenario, 5, 1);
+  const lab::ManifestCell b = run_paired_cell(scenario, 5, 2);
+  EXPECT_NE(a.metric("unaware.makespan").mean,
+            b.metric("unaware.makespan").mean);
 }
 
 TEST(Experiment, TrustAwareWinsOnAverage) {
   Scenario scenario;
   scenario.tasks = 50;
-  const ComparisonResult result = run_comparison(scenario, 20, 11);
-  EXPECT_GT(result.improvement_pct, 0.0);
-  EXPECT_LT(result.aware.makespan.mean(), result.unaware.makespan.mean());
-  EXPECT_TRUE(result.makespan_cmp.significant);
+  const lab::ManifestCell result = run_paired_cell(scenario, 20, 11);
+  EXPECT_GT(result.metric("improvement_pct").mean, 0.0);
+  EXPECT_LT(result.metric("aware.makespan").mean,
+            result.metric("unaware.makespan").mean);
+  EXPECT_EQ(result.metric("significant").mean, 1.0);
 }
 
 TEST(Experiment, UtilizationIsHighUnderSaturation) {
   Scenario scenario;
   scenario.tasks = 100;
-  const ComparisonResult result = run_comparison(scenario, 10, 13);
-  EXPECT_GT(result.unaware.utilization_pct.mean(), 80.0);
-  EXPECT_LE(result.unaware.utilization_pct.mean(), 100.0);
-  EXPECT_GT(result.aware.utilization_pct.mean(), 80.0);
+  const lab::ManifestCell result = run_paired_cell(scenario, 10, 13);
+  EXPECT_GT(result.metric("unaware.utilization_pct").mean, 80.0);
+  EXPECT_LE(result.metric("unaware.utilization_pct").mean, 100.0);
+  EXPECT_GT(result.metric("aware.utilization_pct").mean, 80.0);
 }
 
 TEST(Experiment, BatchModeScenarioRuns) {
@@ -198,9 +199,9 @@ TEST(Experiment, BatchModeScenarioRuns) {
   scenario.tasks = 40;
   scenario.rms.mode = SchedulingMode::kBatch;
   scenario.rms.heuristic = "min-min";
-  const ComparisonResult result = run_comparison(scenario, 10, 17);
-  EXPECT_GT(result.improvement_pct, 0.0);
-  EXPECT_GE(result.aware.batches.mean(), 1.0);
+  const lab::ManifestCell result = run_paired_cell(scenario, 10, 17);
+  EXPECT_GT(result.metric("improvement_pct").mean, 0.0);
+  EXPECT_GE(result.metric("aware.batches").mean, 1.0);
 }
 
 TEST(Experiment, RunSingleHonorsPolicy) {
@@ -216,7 +217,7 @@ TEST(Experiment, RunSingleHonorsPolicy) {
 
 TEST(Experiment, RequiresAtLeastOneReplication) {
   Scenario scenario;
-  EXPECT_THROW(run_comparison(scenario, 0, 1), PreconditionError);
+  EXPECT_THROW(run_paired_cell(scenario, 0, 1), PreconditionError);
 }
 
 TEST(Experiment, DrawInstanceIsSelfConsistent) {
@@ -237,13 +238,17 @@ TEST(Experiment, DrawInstanceIsSelfConsistent) {
 }
 
 TEST(Experiment, PaperTableLayout) {
-  Scenario s50;
-  s50.tasks = 50;
-  Scenario s100;
-  s100.tasks = 100;
-  const ComparisonResult r50 = run_comparison(s50, 3, 1);
-  const ComparisonResult r100 = run_comparison(s100, 3, 1);
-  const TextTable table = paper_table("Table X", {r50, r100});
+  lab::SweepSpec spec =
+      lab::paired_spec({{"tasks", {50, 100}}}, [](const lab::Cell& cell) {
+        Scenario scenario;
+        scenario.tasks = static_cast<std::size_t>(cell.number("tasks"));
+        return scenario;
+      });
+  spec.name = "paper_table_layout";
+  spec.replications = 3;
+  spec.seed = 1;
+  const TextTable table =
+      lab::paper_schedule_table("Table X", lab::run_sweep(spec).manifest);
   const std::string out = table.to_string();
   EXPECT_NE(out.find("Table X"), std::string::npos);
   EXPECT_NE(out.find("# of tasks"), std::string::npos);
@@ -256,10 +261,20 @@ TEST(Experiment, PaperTableLayout) {
 }
 
 TEST(Experiment, SummaryMentionsHeuristicAndImprovement) {
-  Scenario scenario;
-  scenario.tasks = 20;
-  const ComparisonResult result = run_comparison(scenario, 5, 3);
-  const std::string s = summarize(result);
+  lab::SweepSpec spec =
+      lab::paired_spec({{"heuristic", {"mct"}}}, [](const lab::Cell& cell) {
+        Scenario scenario;
+        scenario.tasks = 20;
+        scenario.rms.heuristic = cell.text("heuristic");
+        return scenario;
+      });
+  spec.name = "summary";
+  spec.replications = 5;
+  spec.seed = 3;
+  const std::vector<std::string> lines =
+      lab::paired_summaries(lab::run_sweep(spec).manifest);
+  ASSERT_EQ(lines.size(), 1u);
+  const std::string& s = lines.front();
   EXPECT_NE(s.find("mct"), std::string::npos);
   EXPECT_NE(s.find("improvement"), std::string::npos);
   EXPECT_NE(s.find("n=5"), std::string::npos);
@@ -328,9 +343,9 @@ TEST(ScenarioBuilder, RejectsInvalidCombinations) {
 TEST(ScenarioBuilder, BuiltScenarioRunsEndToEnd) {
   const Scenario s =
       ScenarioBuilder().tasks(10).machines(3).heuristic("mct").build();
-  const ComparisonResult result = run_comparison(s, 2, 11);
+  const lab::ManifestCell result = run_paired_cell(s, 2, 11);
   EXPECT_EQ(result.replications, 2u);
-  EXPECT_GT(result.aware.makespan.mean(), 0.0);
+  EXPECT_GT(result.metric("aware.makespan").mean, 0.0);
 }
 
 TEST(RunReport, SimulationResultReportsScalars) {
@@ -342,20 +357,6 @@ TEST(RunReport, SimulationResultReportsScalars) {
   EXPECT_DOUBLE_EQ(report.get("events"),
                    static_cast<double>(result.events));
   EXPECT_DOUBLE_EQ(report.get("utilization_pct"), result.utilization_pct);
-}
-
-TEST(RunReport, ComparisonResultReportsBothArms) {
-  Scenario scenario;
-  scenario.tasks = 10;
-  const ComparisonResult result = run_comparison(scenario, 3, 5);
-  const obs::RunReport report = result.report();
-  EXPECT_DOUBLE_EQ(report.get("replications"), 3.0);
-  EXPECT_DOUBLE_EQ(report.get("unaware.makespan"),
-                   result.unaware.makespan.mean());
-  EXPECT_DOUBLE_EQ(report.get("aware.makespan"),
-                   result.aware.makespan.mean());
-  EXPECT_DOUBLE_EQ(report.get("improvement_pct"), result.improvement_pct);
-  EXPECT_TRUE(report.has("makespan_cmp.ci95_diff"));
 }
 
 }  // namespace
