@@ -1,9 +1,16 @@
 #!/usr/bin/env python3
-"""Gate CI on large DES-kernel throughput regressions.
+"""Gate CI on large throughput regressions against a committed snapshot.
 
-Compares a freshly measured google-benchmark JSON against the committed
-BENCH_des.json snapshot and fails when any shared benchmark's
-items_per_second drops by more than the allowed fraction (default 20%).
+Compares a freshly measured google-benchmark JSON against a committed
+BENCH_*.json snapshot (default BENCH_des.json) and fails when any shared
+benchmark's items_per_second drops by more than the allowed fraction
+(default 20%).
+
+Either file may hold single runs or repetitions.  When a benchmark has a
+`median` aggregate row (google-benchmark's own, or the one
+scripts/bench_perf.sh keeps), that row is its rate; other aggregates
+(mean, stddev, cv, min) are ignored.  Without a median row, the median of
+its per-repetition rows is used, which for a single run is that run.
 
 Only the small grid-scale tier and the microbenchmarks run in CI — shared
 runners are noisy, so the tolerance is deliberately loose; the committed
@@ -22,29 +29,34 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import sys
 from pathlib import Path
 
 
 def load_rates(path: Path, name_filter: re.Pattern | None) -> dict[str, float]:
-    """Maps benchmark name -> items_per_second for aggregatable rows."""
+    """Maps benchmark name -> items_per_second (median over repetitions)."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(2)
-    rates: dict[str, float] = {}
+    runs: dict[str, list[float]] = {}
+    medians: dict[str, float] = {}
     for row in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
-        if row.get("run_type") == "aggregate":
-            continue
-        name = row.get("name", "")
+        name = row.get("run_name") or row.get("name", "")
         rate = row.get("items_per_second")
         if not name or rate is None:
             continue
         if name_filter is not None and not name_filter.search(name):
             continue
-        rates[name] = float(rate)
+        if row.get("run_type") == "aggregate":
+            if row.get("aggregate_name") == "median":
+                medians[name] = float(rate)
+        else:
+            runs.setdefault(name, []).append(float(rate))
+    rates = {name: statistics.median(values) for name, values in runs.items()}
+    rates.update(medians)
     return rates
 
 

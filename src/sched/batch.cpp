@@ -21,6 +21,14 @@ void check_batch(const SchedulingProblem& p,
   }
 }
 
+/// Earliest start of request r on any machine, before availability:
+/// max(ready, arrival(r)).  decision_completion takes
+/// max(α_m, ready, arrival(r)); folding the two request-side terms first
+/// keeps std::max's first-of-equals choice, so every double is the same.
+double start_floor(const SchedulingProblem& p, std::size_t r, double ready) {
+  return std::max(ready, p.arrival_time(r));
+}
+
 /// Best machine and completion metric for one request.
 struct BestChoice {
   std::size_t machine = 0;
@@ -28,11 +36,12 @@ struct BestChoice {
   double second_completion = kInf;  // for Sufferage
 };
 
-BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
+BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double floor,
                        const Schedule& schedule) {
   BestChoice out;
   for (std::size_t m = 0; m < p.num_machines(); ++m) {
-    const double ct = decision_completion(p, r, m, ready, schedule);
+    const double ct =
+        std::max(schedule.machine_available[m], floor) + p.decision_cost(r, m);
     if (ct < out.completion) {
       out.second_completion = out.completion;
       out.completion = ct;
@@ -44,8 +53,32 @@ BestChoice best_choice(const SchedulingProblem& p, std::size_t r, double ready,
   return out;
 }
 
+/// A pending request with its hoisted start floor and cached best choice.
+struct Pending {
+  std::size_t request;
+  double floor;
+  BestChoice best;
+};
+
+std::vector<Pending> pending_for(const SchedulingProblem& p,
+                                 const std::vector<std::size_t>& batch,
+                                 double ready) {
+  std::vector<Pending> pending;
+  pending.reserve(batch.size());
+  for (const std::size_t r : batch) {
+    pending.push_back(Pending{r, start_floor(p, r, ready), {}});
+  }
+  return pending;
+}
+
 /// Shared engine for Min-min and Max-min: repeatedly pick the pending
 /// request whose *best* completion is extremal, commit it, re-evaluate.
+///
+/// Incremental: a commit to machine m* only raises α_{m*}, so a request
+/// whose cached best machine is not m* keeps it — its completion on every
+/// other machine is unchanged and the lowest-index argmin cannot move when
+/// a non-minimal entry grows.  Only requests whose best was m* are
+/// rescanned; the result equals a full re-evaluation bit for bit.
 class MinMaxMin final : public BatchHeuristic {
  public:
   explicit MinMaxMin(bool prefer_max) : prefer_max_(prefer_max) {}
@@ -56,22 +89,26 @@ class MinMaxMin final : public BatchHeuristic {
                  const std::vector<std::size_t>& batch, double ready,
                  Schedule& schedule) override {
     check_batch(p, batch, schedule);
-    std::vector<std::size_t> pending = batch;
+    std::vector<Pending> pending = pending_for(p, batch, ready);
+    for (Pending& e : pending) {
+      e.best = best_choice(p, e.request, e.floor, schedule);
+    }
     while (!pending.empty()) {
       std::size_t pick_pos = 0;
-      BestChoice pick = best_choice(p, pending[0], ready, schedule);
       for (std::size_t i = 1; i < pending.size(); ++i) {
-        const BestChoice c = best_choice(p, pending[i], ready, schedule);
-        const bool better =
-            prefer_max_ ? c.completion > pick.completion
-                        : c.completion < pick.completion;
-        if (better) {
-          pick = c;
-          pick_pos = i;
+        const double c = pending[i].best.completion;
+        const double pick = pending[pick_pos].best.completion;
+        if (prefer_max_ ? c > pick : c < pick) pick_pos = i;
+      }
+      const std::size_t committed = pending[pick_pos].best.machine;
+      commit_assignment(p, pending[pick_pos].request, committed, ready,
+                        schedule);
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick_pos));
+      for (Pending& e : pending) {
+        if (e.best.machine == committed) {
+          e.best = best_choice(p, e.request, e.floor, schedule);
         }
       }
-      commit_assignment(p, pending[pick_pos], pick.machine, ready, schedule);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick_pos));
     }
   }
 
@@ -83,6 +120,10 @@ class MinMaxMin final : public BatchHeuristic {
 /// by the pending request that would suffer most (largest gap between its
 /// second-best and best completion) if denied that machine; reservation
 /// winners commit, losers wait for the next iteration.
+///
+/// Every request is rescanned each iteration: a request is deferred only
+/// because another request holds its best machine, and every held machine
+/// commits, so no deferred request's cached choice survives an iteration.
 class Sufferage final : public BatchHeuristic {
  public:
   std::string name() const override { return "sufferage"; }
@@ -91,32 +132,33 @@ class Sufferage final : public BatchHeuristic {
                  const std::vector<std::size_t>& batch, double ready,
                  Schedule& schedule) override {
     check_batch(p, batch, schedule);
-    std::vector<std::size_t> pending = batch;
+    std::vector<Pending> pending = pending_for(p, batch, ready);
     while (!pending.empty()) {
-      // machine -> (request holding it, its sufferage value)
+      // machine -> (position in `pending` holding it, its sufferage value)
       std::vector<std::size_t> holder(p.num_machines(), kUnassigned);
       std::vector<double> holder_sufferage(p.num_machines(), -kInf);
-      std::vector<std::size_t> deferred;
-      for (const std::size_t r : pending) {
-        const BestChoice c = best_choice(p, r, ready, schedule);
+      std::vector<Pending> deferred;
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        const BestChoice c =
+            best_choice(p, pending[i].request, pending[i].floor, schedule);
         const double sufferage =
             (c.second_completion == kInf) ? 0.0
                                           : c.second_completion - c.completion;
         const std::size_t m = c.machine;
         if (holder[m] == kUnassigned) {
-          holder[m] = r;
+          holder[m] = i;
           holder_sufferage[m] = sufferage;
         } else if (sufferage > holder_sufferage[m]) {
-          deferred.push_back(holder[m]);
-          holder[m] = r;
+          deferred.push_back(pending[holder[m]]);
+          holder[m] = i;
           holder_sufferage[m] = sufferage;
         } else {
-          deferred.push_back(r);
+          deferred.push_back(pending[i]);
         }
       }
       for (std::size_t m = 0; m < p.num_machines(); ++m) {
         if (holder[m] != kUnassigned) {
-          commit_assignment(p, holder[m], m, ready, schedule);
+          commit_assignment(p, pending[holder[m]].request, m, ready, schedule);
         }
       }
       GT_ASSERT(deferred.size() < pending.size());  // progress each round

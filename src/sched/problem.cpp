@@ -8,11 +8,23 @@ SchedulingProblem::SchedulingProblem(CostMatrix eec, TrustCostMatrix tc,
                                      SchedulingPolicy policy,
                                      SecurityCostModel model,
                                      std::vector<double> arrival_times)
+    : SchedulingProblem(std::move(eec), std::move(tc), std::move(policy),
+                        model, std::move(arrival_times), CostMatrix{},
+                        CostMatrix{}) {}
+
+SchedulingProblem::SchedulingProblem(CostMatrix eec, TrustCostMatrix tc,
+                                     SchedulingPolicy policy,
+                                     SecurityCostModel model,
+                                     std::vector<double> arrival_times,
+                                     CostMatrix extra_decision,
+                                     CostMatrix extra_actual)
     : eec_(std::move(eec)),
       tc_(std::move(tc)),
       policy_(std::move(policy)),
       model_(model),
-      arrivals_(std::move(arrival_times)) {
+      arrivals_(std::move(arrival_times)),
+      extra_decision_(std::move(extra_decision)),
+      extra_actual_(std::move(extra_actual)) {
   GT_REQUIRE(eec_.rows() == tc_.rows() && eec_.cols() == tc_.cols(),
              "EEC and trust-cost matrices must have identical shapes");
   GT_REQUIRE(arrivals_.empty() || arrivals_.size() == eec_.rows(),
@@ -22,6 +34,28 @@ SchedulingProblem::SchedulingProblem(CostMatrix eec, TrustCostMatrix tc,
       GT_REQUIRE(eec_.get(r, m) >= 0.0, "EEC values must be non-negative");
       GT_REQUIRE(tc_.get(r, m) >= 0 && tc_.get(r, m) <= trust::kMaxTrustCost,
                  "trust costs must be in [0, 6]");
+    }
+  }
+  price();
+}
+
+void SchedulingProblem::price() {
+  if (eec_.rows() == 0) return;  // empty problem: nothing to price
+  decision_ = CostMatrix(eec_.rows(), eec_.cols());
+  actual_ = CostMatrix(eec_.rows(), eec_.cols());
+  const bool extra = extra_decision_.rows() != 0;
+  for (std::size_t r = 0; r < eec_.rows(); ++r) {
+    for (std::size_t m = 0; m < eec_.cols(); ++m) {
+      const double eec = eec_.get(r, m);
+      const int tc = tc_.get(r, m);
+      double decision = model_.ecc(policy_.decision, eec, tc);
+      double actual = model_.ecc(policy_.actual, eec, tc);
+      if (extra) {
+        decision += extra_decision_.get(r, m);
+        actual += extra_actual_.get(r, m);
+      }
+      decision_.at(r, m) = decision;
+      actual_.at(r, m) = actual;
     }
   }
 }
@@ -45,14 +79,13 @@ void SchedulingProblem::set_extra_costs(CostMatrix decision,
   }
   extra_decision_ = std::move(decision);
   extra_actual_ = std::move(actual);
+  price();
 }
 
 SchedulingProblem SchedulingProblem::with_policy(
     SchedulingPolicy policy) const {
-  SchedulingProblem out(eec_, tc_, std::move(policy), model_, arrivals_);
-  out.extra_decision_ = extra_decision_;
-  out.extra_actual_ = extra_actual_;
-  return out;
+  return SchedulingProblem(eec_, tc_, std::move(policy), model_, arrivals_,
+                           extra_decision_, extra_actual_);
 }
 
 TrustCostMatrix compute_trust_costs(const grid::GridSystem& grid,

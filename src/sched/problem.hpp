@@ -4,7 +4,9 @@
 //   decision_cost(r, m) — EEC + decision-time ESC (what the mapper minimizes)
 //   actual_cost(r, m)   — EEC + incurred ESC (what the machine really spends)
 // Trust-aware policies make the two coincide; the trust-unaware policy
-// decides on bare EEC while the machine pays blanket security.
+// decides on bare EEC while the machine pays blanket security.  Both views
+// are priced once into dense matrices whenever their inputs change, so the
+// accessors the heuristics call in their inner loops are plain loads.
 #pragma once
 
 #include <vector>
@@ -30,7 +32,8 @@ class SchedulingProblem {
   /// Additive cost layers beyond the ESC model — e.g. data-staging times
   /// that depend on the (request, machine) pair (net-integrated TRMS).
   /// `decision` is added to decision_cost, `actual` to actual_cost; both
-  /// must match the problem's dimensions and be non-negative.
+  /// must match the problem's dimensions and be non-negative.  Reprices both
+  /// cost views.
   void set_extra_costs(CostMatrix decision, CostMatrix actual);
 
   std::size_t num_requests() const { return eec_.rows(); }
@@ -49,17 +52,13 @@ class SchedulingProblem {
   /// Cost the mapper minimizes: EEC + ESC under the decision model (plus
   /// any extra decision layer).
   double decision_cost(std::size_t r, std::size_t m) const {
-    double cost = model_.ecc(policy_.decision, eec_.get(r, m), tc_.get(r, m));
-    if (extra_decision_.rows() != 0) cost += extra_decision_.get(r, m);
-    return cost;
+    return decision_.get(r, m);
   }
 
   /// Cost the machine incurs: EEC + ESC under the incurred model (plus any
   /// extra incurred layer).
   double actual_cost(std::size_t r, std::size_t m) const {
-    double cost = model_.ecc(policy_.actual, eec_.get(r, m), tc_.get(r, m));
-    if (extra_actual_.rows() != 0) cost += extra_actual_.get(r, m);
-    return cost;
+    return actual_.get(r, m);
   }
 
   /// Arrival time of request r; 0 when the problem was built without
@@ -71,6 +70,15 @@ class SchedulingProblem {
   SchedulingProblem with_policy(SchedulingPolicy policy) const;
 
  private:
+  SchedulingProblem(CostMatrix eec, TrustCostMatrix tc,
+                    SchedulingPolicy policy, SecurityCostModel model,
+                    std::vector<double> arrival_times,
+                    CostMatrix extra_decision, CostMatrix extra_actual);
+
+  /// Prices decision_ and actual_ from eec_, tc_, policy_, model_ and the
+  /// extras.
+  void price();
+
   CostMatrix eec_;
   TrustCostMatrix tc_;
   SchedulingPolicy policy_;
@@ -79,6 +87,9 @@ class SchedulingProblem {
   // Empty (0x0) when unused.
   CostMatrix extra_decision_;
   CostMatrix extra_actual_;
+  // Priced views: model_.ecc(policy_.<view>, eec, tc), then + extra.
+  CostMatrix decision_;
+  CostMatrix actual_;
 };
 
 /// Computes the trust-cost matrix for `requests` against every machine of

@@ -44,7 +44,9 @@ struct OverheadRow {
   bool checksums_match = false;  ///< all three policies computed equal digests
 };
 
-/// Measures all three workloads under all three policies.
+/// Measures all three workloads under all three policies.  The policies
+/// run interleaved, one run each per round for `repetitions` rounds, and
+/// each keeps its fastest round.
 std::vector<OverheadRow> measure_overheads(std::size_t scale,
                                            std::uint64_t seed,
                                            std::size_t repetitions = 3);

@@ -1,52 +1,34 @@
 #include "trust/alliance.hpp"
 
+#include <algorithm>
 #include <numeric>
-#include <unordered_set>
-
-#include "common/error.hpp"
 
 namespace gridtrust::trust {
 
-AllianceGraph::AllianceGraph(std::size_t entities)
-    : parent_(entities), rank_(entities, 0) {
-  std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-}
-
-std::size_t AllianceGraph::find(std::size_t i) const {
-  GT_REQUIRE(i < parent_.size(), "entity id out of range");
-  while (parent_[i] != i) {
-    parent_[i] = parent_[parent_[i]];  // path halving
-    i = parent_[i];
-  }
-  return i;
+AllianceGraph::AllianceGraph(std::size_t entities) : group_(entities) {
+  std::iota(group_.begin(), group_.end(), std::size_t{0});
 }
 
 void AllianceGraph::ally(EntityId a, EntityId b) {
-  std::size_t ra = find(a);
-  std::size_t rb = find(b);
-  if (ra == rb) return;
-  if (rank_[ra] < rank_[rb]) std::swap(ra, rb);
-  parent_[rb] = ra;
-  if (rank_[ra] == rank_[rb]) ++rank_[ra];
-}
-
-bool AllianceGraph::allied(EntityId a, EntityId b) const {
-  return find(a) == find(b);
+  GT_REQUIRE(a < group_.size() && b < group_.size(), "entity id out of range");
+  const std::size_t keep = group_[a];
+  const std::size_t gone = group_[b];
+  if (keep == gone) return;
+  std::replace(group_.begin(), group_.end(), gone, keep);
 }
 
 std::size_t AllianceGraph::group_count() const {
-  std::unordered_set<std::size_t> roots;
-  for (std::size_t i = 0; i < parent_.size(); ++i) roots.insert(find(i));
-  return roots.size();
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < group_.size(); ++i) {
+    if (group_[i] == i) ++n;
+  }
+  return n;
 }
 
 std::size_t AllianceGraph::group_size(EntityId e) const {
-  const std::size_t root = find(e);
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < parent_.size(); ++i) {
-    if (find(i) == root) ++n;
-  }
-  return n;
+  GT_REQUIRE(e < group_.size(), "entity id out of range");
+  return static_cast<std::size_t>(
+      std::count(group_.begin(), group_.end(), group_[e]));
 }
 
 }  // namespace gridtrust::trust

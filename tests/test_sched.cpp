@@ -2,7 +2,10 @@
 // full heuristic suite on hand-worked instances plus property sweeps.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,6 +15,7 @@
 #include "sched/problem.hpp"
 #include "sched/schedule.hpp"
 #include "sched/security_model.hpp"
+#include "sim/staging.hpp"
 
 namespace gridtrust::sched {
 namespace {
@@ -129,6 +133,93 @@ TEST(Problem, WithPolicyRebindsCosts) {
   EXPECT_EQ(aware.actual_cost(1, 0), 2.0);
   EXPECT_EQ(unaware.actual_cost(1, 0), 3.0);
   EXPECT_EQ(aware.num_requests(), 3u);
+}
+
+/// Every cached cost equals the model's ECC (+ extra) bit for bit.
+void expect_views_priced(const SchedulingProblem& p, const CostMatrix* extra_d,
+                         const CostMatrix* extra_a) {
+  const SecurityCostModel& model = p.security_model();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t r = 0; r < p.num_requests(); ++r) {
+    for (std::size_t m = 0; m < p.num_machines(); ++m) {
+      double decision = model.ecc(p.policy().decision, p.eec(r, m),
+                                  p.trust_cost(r, m));
+      double actual =
+          model.ecc(p.policy().actual, p.eec(r, m), p.trust_cost(r, m));
+      if (extra_d != nullptr) decision += extra_d->get(r, m);
+      if (extra_a != nullptr) actual += extra_a->get(r, m);
+      ASSERT_EQ(bits(p.decision_cost(r, m)), bits(decision))
+          << p.policy().name << " decision (" << r << ", " << m << ")";
+      ASSERT_EQ(bits(p.actual_cost(r, m)), bits(actual))
+          << p.policy().name << " actual (" << r << ", " << m << ")";
+    }
+  }
+}
+
+std::vector<SchedulingPolicy> all_policies() {
+  return {trust_aware_policy(), trust_unaware_policy(),
+          unaware_placement_tc_priced_policy(),
+          aware_placement_blanket_priced_policy()};
+}
+
+CostMatrix random_costs(Rng& rng, std::size_t rows, std::size_t cols) {
+  CostMatrix out(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) out.at(r, c) = rng.uniform(0.0, 50.0);
+  }
+  return out;
+}
+
+TEST(Problem, CachedCostViewsMatchTheModelBitForBit) {
+  Rng rng(17);
+  const SecurityCostModel model(SecurityCostConfig{13.0, 47.0, false});
+  for (const SchedulingPolicy& policy : all_policies()) {
+    CostMatrix eec = random_costs(rng, 12, 5);
+    TrustCostMatrix tc(12, 5);
+    for (std::size_t r = 0; r < 12; ++r) {
+      for (std::size_t m = 0; m < 5; ++m) {
+        tc.at(r, m) = static_cast<int>(rng.uniform_int(0, 6));
+      }
+    }
+    SchedulingProblem p(eec, tc, policy, model);
+    expect_views_priced(p, nullptr, nullptr);
+    const CostMatrix extra_d = random_costs(rng, 12, 5);
+    const CostMatrix extra_a = random_costs(rng, 12, 5);
+    p.set_extra_costs(extra_d, extra_a);
+    expect_views_priced(p, &extra_d, &extra_a);
+  }
+}
+
+TEST(Problem, SetExtraCostsRepricesBothViews) {
+  SchedulingProblem p = tiny_problem(trust_unaware_policy());
+  EXPECT_EQ(p.decision_cost(2, 1), 1.0);
+  EXPECT_EQ(p.actual_cost(2, 1), 1.5);
+  p.set_extra_costs(CostMatrix(3, 2, 2.0), CostMatrix(3, 2, 4.0));
+  EXPECT_EQ(p.decision_cost(2, 1), 3.0);
+  EXPECT_EQ(p.actual_cost(2, 1), 5.5);
+  // A second call replaces the extras; it does not stack on the first.
+  p.set_extra_costs(CostMatrix(3, 2, 0.5), CostMatrix(3, 2, 0.25));
+  EXPECT_EQ(p.decision_cost(2, 1), 1.5);
+  EXPECT_EQ(p.actual_cost(2, 1), 1.75);
+}
+
+TEST(Problem, WithPolicyKeepsStagedExtrasInBothViews) {
+  Rng rng(23);
+  const sim::StagingCosts staging{random_costs(rng, 3, 2),
+                                  random_costs(rng, 3, 2)};
+  for (const SchedulingPolicy& from : all_policies()) {
+    SchedulingProblem staged = tiny_problem(from);
+    sim::attach_staging(staged, staging);
+    const bool aware = from.decision == CostModel::kTrustCost;
+    const CostMatrix none(3, 2, 0.0);
+    const CostMatrix& extra_d = aware ? staging.trust_adaptive : none;
+    const CostMatrix& extra_a =
+        aware ? staging.trust_adaptive : staging.conservative;
+    expect_views_priced(staged, &extra_d, &extra_a);
+    for (const SchedulingPolicy& to : all_policies()) {
+      expect_views_priced(staged.with_policy(to), &extra_d, &extra_a);
+    }
+  }
 }
 
 TEST(Problem, ValidatesShapesAndValues) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -274,6 +276,48 @@ TEST(Alliance, BoundsChecked) {
   AllianceGraph g(2);
   EXPECT_THROW(g.ally(0, 2), PreconditionError);
   EXPECT_THROW(g.allied(2, 0), PreconditionError);
+  EXPECT_THROW(g.group_size(2), PreconditionError);
+}
+
+TEST(Alliance, ConcurrentReadersAgree) {
+  // allied() is a true const read: four threads query one shared graph
+  // (run under the tsan preset to check there is no hidden write).
+  constexpr std::size_t kEntities = 48;
+  AllianceGraph g(kEntities);
+  for (std::size_t step = 3; step < kEntities; step *= 2) {
+    for (std::size_t i = 0; i + step < kEntities; i += 2 * step) {
+      g.ally(static_cast<EntityId>(i), static_cast<EntityId>(i + step));
+    }
+  }
+  g.ally(1, 4);
+  g.ally(4, 7);
+  std::size_t expected = 0;
+  for (std::size_t a = 0; a < kEntities; ++a) {
+    for (std::size_t b = 0; b < kEntities; ++b) {
+      expected += (a % 3 == 0 && b % 3 == 0) ||
+                  (a == b) ||
+                  ((a == 1 || a == 4 || a == 7) && (b == 1 || b == 4 || b == 7));
+    }
+  }
+  std::vector<std::size_t> counts(4, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < counts.size(); ++t) {
+    readers.emplace_back([&g, &counts, t] {
+      for (int round = 0; round < 20; ++round) {
+        std::size_t n = 0;
+        for (std::size_t a = 0; a < kEntities; ++a) {
+          for (std::size_t b = 0; b < kEntities; ++b) {
+            n += g.allied(static_cast<EntityId>(a), static_cast<EntityId>(b));
+          }
+        }
+        if (round == 0) counts[t] = n;
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (const std::size_t n : counts) EXPECT_EQ(n, expected);
+  EXPECT_EQ(g.group_size(0), kEntities / 3);
+  EXPECT_EQ(g.group_count(), 2 + (kEntities - kEntities / 3 - 3));
 }
 
 // ---------------------------------------------------------------- engine
