@@ -1,6 +1,5 @@
 #include "support.hpp"
 
-#include <fstream>
 #include <iostream>
 
 #include "common/error.hpp"
@@ -72,7 +71,6 @@ void add_lab_flags(CliParser& cli) {
   cli.add_int("jobs", 0,
               "worker threads (0 = shared hardware-sized pool, 1 = serial; "
               "results are identical for every value)");
-  cli.add_string("cache-dir", "", "result-cache directory (empty = off)");
   cli.add_string("out", "", "write the sweep manifest to this path");
   cli.add_flag("csv", "emit CSV rows instead of the ASCII table");
   obs::add_metrics_flags(cli);
@@ -88,7 +86,6 @@ lab::EngineOptions engine_options_from_flags(const CliParser& cli) {
     options.replications =
         static_cast<std::size_t>(cli.get_int("replications"));
   }
-  options.cache_dir = cli.get_string("cache-dir");
   return options;
 }
 
@@ -101,35 +98,27 @@ lab::SweepRun run_catalog_spec(const CliParser& cli,
   const lab::SweepRun run =
       lab::run_sweep(*spec, engine_options_from_flags(cli));
 
-  const TextTable table =
-      paper_layout ? lab::paper_schedule_table(spec->title, run.manifest)
-                   : lab::sweep_table(*spec, run.manifest);
-  std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());
-  for (const std::string& line : lab::paired_summaries(run.manifest)) {
-    std::cout << "  " << line << "\n";
-  }
-  std::cout << "  expected: " << spec->expected << "\n"
-            << "  " << run.cells << " cells, " << run.units_run
-            << " units run, " << run.cache_hits << " cache hits, "
-            << format_grouped(run.wall_seconds, 2) << " s wall"
-            << " (rerun with `gridtrust_lab run " << spec_name << "`)\n";
-
-  const std::string out_path = cli.get_string("out");
-  if (!out_path.empty()) {
-    std::ofstream out(out_path, std::ios::trunc);
-    GT_REQUIRE(static_cast<bool>(out), "cannot write: " + out_path);
-    out << lab::to_json(run.manifest);
-    std::cout << "  manifest: " << out_path << "\n";
-  }
+  lab::RunSummary summary;
+  summary.stats = "  " + std::to_string(run.cells) + " cells, " +
+                  std::to_string(run.units_run) + " units run, " +
+                  format_grouped(run.wall_seconds, 2) +
+                  " s wall (rerun with `gridtrust_lab run " + spec_name +
+                  "`)\n";
+  summary.outcome_counts = std::to_string(run.units_failed) + " units failed";
+  summary.csv = cli.get_flag("csv");
+  summary.paper_layout = paper_layout;
+  summary.out_path = cli.get_string("out");
+  lab::print_run_summary(std::cout, *spec, run.manifest, summary);
   return run;
 }
 
 int run_paper_table_spec(const CliParser& cli, const std::string& spec_name) {
-  run_catalog_spec(cli, spec_name, /*paper_layout=*/true);
+  const lab::SweepRun run =
+      run_catalog_spec(cli, spec_name, /*paper_layout=*/true);
   std::cout << "  (absolute seconds depend on the EEC ranges; the paper's "
                "testbed is unknown -- compare shapes, see "
                "docs/experiments-catalog.md)\n";
-  return 0;
+  return lab::outcome_exit_code(run.manifest.outcome);
 }
 
 }  // namespace gridtrust::bench

@@ -56,7 +56,7 @@ sim::ScenarioBuilder closed_loop_builder(std::size_t client_domains,
                                          const std::vector<double>& rd_conduct);
 
 /// Registers the flags shared by every catalog-backed bench: engine
-/// overrides (--replications, --seed, --jobs, --cache-dir), output
+/// overrides (--replications, --seed, --jobs), output
 /// (--out manifest path, --csv), and the obs --metrics-out flag.
 void add_lab_flags(CliParser& cli);
 
@@ -65,15 +65,16 @@ lab::EngineOptions engine_options_from_flags(const CliParser& cli);
 
 /// Runs one registered catalog spec on the sweep engine and prints it:
 /// the paper's Tables 4-9 layout when `paper_layout`, the generic sweep
-/// grid otherwise, followed by paired-CI summaries, the spec's expected
-/// line, and run stats.  Writes the manifest when --out is set.  Returns
-/// the SweepRun so callers can layer acceptance checks on the manifest.
+/// grid otherwise, through lab::print_run_summary (the CLI's printer).
+/// Writes the manifest when --out is set.  Returns the SweepRun so callers
+/// can layer acceptance checks on the manifest.
 lab::SweepRun run_catalog_spec(const CliParser& cli,
                                const std::string& spec_name,
                                bool paper_layout);
 
 /// Complete main body for the six table benches: runs `spec_name` and
-/// renders it in the paper's layout.  Returns 0 so mains can
+/// renders it in the paper's layout.  Returns the run's exit code
+/// (lab::outcome_exit_code) so mains can
 /// `return run_paper_table_spec(cli, "table4")`.
 int run_paper_table_spec(const CliParser& cli, const std::string& spec_name);
 

@@ -13,7 +13,6 @@
 #include "common/stats.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
-#include "lab/cache.hpp"
 #include "lab/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -22,7 +21,6 @@ namespace gridtrust::lab {
 namespace {
 
 const obs::Counter kCellsRun("lab.cells_run");
-const obs::Counter kCacheHits("lab.cache_hits");
 const obs::Counter kUnitsRun("lab.units_run");
 const obs::Counter kRetries("lab.retries");
 const obs::Counter kFailures("lab.failures");
@@ -65,20 +63,6 @@ AggregateSet aggregate_reports(const std::vector<obs::RunReport>& all,
 enum class UnitState : unsigned char { kNotRun, kOk, kFailed };
 
 }  // namespace
-
-std::uint64_t cell_cache_key(const SweepSpec& spec, std::uint64_t seed,
-                             std::size_t replications, const Cell& cell) {
-  std::string canon = spec.name;
-  canon += '\x1f';
-  canon += spec.version;
-  canon += '\x1f';
-  canon += std::to_string(seed);
-  canon += '\x1f';
-  canon += std::to_string(replications);
-  canon += '\x1f';
-  canon += hash_hex(cell_param_hash(cell));
-  return fnv1a64(canon);
-}
 
 std::string git_revision() {
 #ifdef GRIDTRUST_GIT_REV
@@ -143,80 +127,65 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
   }
   run.cells = eligible_count;
 
-  std::unique_ptr<ResultCache> cache;
-  if (!options.cache_dir.empty()) {
-    cache = std::make_unique<ResultCache>(options.cache_dir);
-  }
-
-  // The checkpoint journal accumulates cleanly completed cells and is
-  // re-flushed atomically after each one, so a crash at any instant leaves
-  // a parseable record of all finished work.
+  // The checkpoint journal holds every finalized cell, ok or failed, and
+  // is re-flushed atomically after each one, so a crash at any instant
+  // leaves a parseable record of all finished work.  `journal_slot` maps a
+  // grid index to its record, so a re-run replaces the old record.
+  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   Journal journal;
   journal.spec = spec.name;
   journal.spec_hash = run.manifest.spec_hash;
   journal.seed = seed;
   journal.replications = replications;
+  std::vector<std::size_t> journal_slot(cells.size(), kNoSlot);
   const bool journaling = !options.journal_path.empty();
+  if (journaling) journal.build = build_id();
+  const auto journal_record = [&](std::size_t i, ManifestCell record) {
+    if (journal_slot[i] == kNoSlot) {
+      journal_slot[i] = journal.cells.size();
+      journal.cells.push_back(std::move(record));
+    } else {
+      journal.cells[journal_slot[i]] = std::move(record);
+    }
+  };
 
-  // Resume: re-anchor the previous run's completed cells onto this grid.
-  // Only `ok` cells short-circuit — failed cells get a fresh chance.
-  // Duplicate entries for one cell (a shard journal appended to after a
-  // partial flush, or two shards that both journaled a reassigned cell)
-  // resolve last-wins: the later record reflects the later, complete run.
+  // Resume: re-anchor the previous run's records onto this grid
+  // (select_cell_records picks one per cell).  Only `ok` cells
+  // short-circuit; a failed record stays in the journal until this run's
+  // fresh record for that cell replaces it.
   std::vector<char> done(cells.size(), 0);
   if (!options.resume_journal.empty()) {
-    if (std::optional<Journal> previous =
-            load_journal(options.resume_journal)) {
-      GT_REQUIRE(previous->spec_hash == run.manifest.spec_hash,
+    std::vector<Journal> previous;
+    if (std::optional<Journal> loaded = load_journal(options.resume_journal)) {
+      GT_REQUIRE(loaded->spec_hash == run.manifest.spec_hash,
                  "resume journal \"" + options.resume_journal +
-                     "\" records spec " + previous->spec + "/" +
-                     previous->spec_hash + ", not this sweep (" + spec.name +
+                     "\" records spec " + loaded->spec + "/" +
+                     loaded->spec_hash + ", not this sweep (" + spec.name +
                      "/" + run.manifest.spec_hash + ")");
-      std::vector<std::size_t> journal_slot(cells.size(), 0);
-      for (ManifestCell& cell : previous->cells) {
-        if (cell.status != CellStatus::kOk) continue;
-        if (cell.index >= cells.size()) continue;
-        const std::size_t i = cell.index;
-        if (eligible[i] == 0) continue;
-        if (cell.param_hash != hash_hex(cell_param_hash(cells[i]))) continue;
-        run.manifest.cells[i] = cell;
-        if (done[i]) {
-          journal.cells[journal_slot[i]] = std::move(cell);
-          continue;
-        }
-        done[i] = 1;
-        journal_slot[i] = journal.cells.size();
-        journal.cells.push_back(std::move(cell));
-        ++run.cells_resumed;
-      }
+      previous.push_back(std::move(*loaded));
     } else {
-      log_warn("resume journal ", options.resume_journal,
-               " does not exist; running the full sweep");
+      log_warn("no usable resume journal at ", options.resume_journal,
+               "; running the full sweep");
+    }
+    const std::vector<const ManifestCell*> picked =
+        select_cell_records(cells, previous);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (picked[i] == nullptr || eligible[i] == 0) continue;
+      journal_record(i, *picked[i]);
+      if (picked[i]->status != CellStatus::kOk) continue;
+      run.manifest.cells[i] = *picked[i];
+      done[i] = 1;
+      ++run.cells_resumed;
     }
   }
 
-  // Resolve cache hits next so only genuinely missing cells fan out.
   std::vector<std::size_t> missing;  // indices into `cells`
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (eligible[i] == 0 || done[i]) continue;
-    const Cell& cell = cells[i];
-    if (cache != nullptr) {
-      const std::uint64_t key = cell_cache_key(spec, seed, replications, cell);
-      if (std::optional<ManifestCell> hit = cache->load(key);
-          hit.has_value() && hit->params == cell.params) {
-        hit->index = cell.index;  // re-anchor to this run's grid position
-        run.manifest.cells[i] = *hit;
-        ++run.cache_hits;
-        kCacheHits.add();
-        if (journaling) journal.cells.push_back(std::move(*hit));
-        continue;
-      }
-    }
-    missing.push_back(i);
+    if (eligible[i] != 0 && done[i] == 0) missing.push_back(i);
   }
 
   if (journaling) {
-    // Flush the header (plus any resumed/cached prefix) before work starts,
+    // Flush the header (plus any resumed records) before work starts,
     // so even a crash in the first cell leaves a resumable journal.
     atomic_write_file(options.journal_path, journal_to_jsonl(journal));
   }
@@ -242,14 +211,14 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
   FirstErrorSlot first_error;
 
   // Per-cell countdown: the worker that completes a cell's last unit
-  // finalizes it (aggregate + journal flush + cache store) immediately, so
+  // finalizes it (aggregate + journal flush) immediately, so
   // checkpoints land as cells finish, not at the end of the sweep.
   auto remaining =
       std::make_unique<std::atomic<std::size_t>[]>(missing.size());
   for (std::size_t m = 0; m < missing.size(); ++m) {
     remaining[m].store(replications, std::memory_order_relaxed);
   }
-  Mutex finalize_mutex;  // serializes journal flushes + cache stores
+  Mutex finalize_mutex;  // serializes journal flushes
 
   const auto finalize_cell = [&](std::size_t m) {
     const std::size_t i = missing[m];
@@ -297,20 +266,13 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
 
     const MutexLock lock(&finalize_mutex);
     run.manifest.cells[i] = out;
-    if (out.status == CellStatus::kOk) {
-      if (cache != nullptr) {
-        cache->store(cell_cache_key(spec, seed, replications, cell), out);
-      }
-      if (journaling) {
-        journal.cells.push_back(std::move(out));
-        atomic_write_file(options.journal_path, journal_to_jsonl(journal));
-      }
+    if (journaling) {
+      journal_record(i, std::move(out));
+      atomic_write_file(options.journal_path, journal_to_jsonl(journal));
     }
-    // Fired after the journal flush so a subscriber (the supervisor's
-    // worker loop) never acknowledges a cell the journal could still lose.
-    if (options.on_cell_complete) {
-      options.on_cell_complete(run.manifest.cells[i]);
-    }
+    // Fired after the journal flush, so a subscriber sees only cells the
+    // journal already holds.
+    if (options.on_cell_complete) options.on_cell_complete();
   };
 
   const auto run_unit = [&](std::size_t unit) {

@@ -6,9 +6,9 @@
 // cell parameter hash, replication index) — a pure function of the spec, not
 // of scheduling — and every unit writes into a preallocated slot, so running
 // with one worker, sixteen workers, or the shared pool produces bit-identical
-// manifests.  A ResultCache (optional) short-circuits cells whose content
-// key was computed before; cached and fresh cells are indistinguishable in
-// the output.
+// manifests.  The checkpoint journal (lab/journal.hpp) is the one store of
+// finished cells: resumed and fresh cells are indistinguishable in the
+// output.
 #pragma once
 
 #include <atomic>
@@ -36,8 +36,6 @@ struct EngineOptions {
   /// Override the spec's master seed / replication count for this run.
   std::optional<std::uint64_t> seed;
   std::optional<std::size_t> replications;
-  /// Result-cache directory; empty disables caching.
-  std::string cache_dir;
 
   /// Per-unit retry policy.  Failed units re-run with their original
   /// derived seed (determinism preserved); transient classes (resource,
@@ -49,13 +47,14 @@ struct EngineOptions {
   /// rethrown (after every other unit has been attempted).  > 0 downgrades
   /// a within-budget run to outcome `partial` instead of throwing.
   double failure_budget_pct = 0.0;
-  /// Checkpoint journal path: every cleanly completed cell is flushed here
-  /// via atomic write-temp-then-rename as it finishes.  Empty disables.
+  /// Checkpoint journal path: every finalized cell, ok or failed, is
+  /// flushed here via atomic write-temp-then-rename as it finishes.  Empty
+  /// disables.
   std::string journal_path;
   /// Journal to resume from: completed `ok` cells re-load (guarded by the
-  /// spec content hash) and only the remainder runs.  A missing file is
-  /// treated as an empty journal (the previous run died before its first
-  /// checkpoint).  Failed cells in the journal re-run.
+  /// spec content hash) and only the remainder runs.  A missing file, or
+  /// one written by another build, is treated as an empty journal.  Failed
+  /// cells in the journal re-run.
   std::string resume_journal;
   /// Per-unit wall-clock deadline in seconds; a unit whose attempt overruns
   /// is recorded as a `timeout` failure (its result is discarded) instead
@@ -77,22 +76,21 @@ struct EngineOptions {
   /// default) runs the whole grid.  Values must be valid grid indices.
   const std::vector<std::size_t>* cell_subset = nullptr;
   /// Fired after a *fresh* cell finalizes — after its journal flush, for
-  /// ok and failed cells alike (resumed/cached cells never fire).  Runs
-  /// under the engine's finalize lock; keep it cheap.  The supervisor's
-  /// workers stream completed cells to the coordinator from here.
-  std::function<void(const ManifestCell&)> on_cell_complete;
+  /// ok and failed cells alike (resumed cells never fire).  Runs under the
+  /// engine's finalize lock; keep it cheap.  The supervisor's scripted
+  /// worker faults count cells from here.
+  std::function<void()> on_cell_complete;
   /// Fired after every (cell, replication) unit attempt chain resolves —
   /// the supervisor's workers derive heartbeats from this.
   std::function<void()> on_unit_complete;
 };
 
 /// One engine run: the manifest plus execution facts that deliberately stay
-/// *out* of the manifest (so manifests stay byte-stable across jobs/cache
-/// configurations).
+/// *out* of the manifest (so manifests stay byte-stable across jobs and
+/// resume configurations).
 struct SweepRun {
   Manifest manifest;
   std::size_t cells = 0;
-  std::size_t cache_hits = 0;
   std::size_t units_run = 0;  ///< (cell, replication) pairs computed fresh
   std::size_t units_failed = 0;   ///< units that exhausted their retries
   std::size_t units_retried = 0;  ///< extra attempts consumed by retries
@@ -116,12 +114,6 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options = {});
 /// is byte-identical to a single-process run's.
 Manifest manifest_header(const SweepSpec& spec, std::uint64_t seed,
                          std::size_t replications);
-
-/// The cache key of one cell under an effective (seed, replications):
-/// folds spec name, spec version, seed, replications, and the cell's
-/// parameters.  Exposed for tests and tooling that prune cache directories.
-std::uint64_t cell_cache_key(const SweepSpec& spec, std::uint64_t seed,
-                             std::size_t replications, const Cell& cell);
 
 /// The git revision baked in at configure time ("unknown" outside a git
 /// checkout).  Recorded in manifests; ignored by compare_manifests.

@@ -1,6 +1,8 @@
 #include "lab/journal.hpp"
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "common/error.hpp"
 #include "common/fs.hpp"
@@ -17,7 +19,46 @@ constexpr const char* kJournalSchema = "gridtrust.lab.journal/v1";
 using obs::detail::json_escape;
 using obs::detail::json_number;
 
+/// FNV-1a over 8-byte words of the file at `path`; nullopt when it cannot
+/// be opened.  Word steps keep the digest of a multi-megabyte binary well
+/// under a millisecond, and each step is a bijection of the running hash,
+/// so two files differing in one word always digest differently.
+std::optional<std::uint64_t> digest_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::vector<char> buffer(std::size_t{1} << 16);
+  while (in.read(buffer.data(), static_cast<std::streamsize>(buffer.size())) ||
+         in.gcount() > 0) {
+    const auto n = static_cast<std::size_t>(in.gcount());
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, buffer.data() + i, 8);
+      hash = (hash ^ word) * kPrime;
+    }
+    for (; i < n; ++i) {
+      hash = (hash ^ static_cast<unsigned char>(buffer[i])) * kPrime;
+    }
+  }
+  return hash;
+}
+
 }  // namespace
+
+const std::string& build_id() {
+  static const std::string id = [] {
+    const std::optional<std::uint64_t> digest =
+        digest_file("/proc/self/exe");
+    if (!digest) {
+      log_warn("cannot read /proc/self/exe; journals will never resume");
+      return std::string();
+    }
+    return hash_hex(*digest);
+  }();
+  return id;
+}
 
 std::string journal_to_jsonl(const Journal& journal) {
   std::string out = "{\"schema\":\"";
@@ -30,7 +71,9 @@ std::string journal_to_jsonl(const Journal& journal) {
   out += json_number(static_cast<double>(journal.seed));
   out += ",\"replications\":";
   out += json_number(static_cast<double>(journal.replications));
-  out += "}\n";
+  out += ",\"build\":\"";
+  out += json_escape(journal.build);
+  out += "\"}\n";
   for (const ManifestCell& cell : journal.cells) {
     out += cell_to_json(cell);
     out += '\n';
@@ -59,6 +102,7 @@ Journal parse_journal(const std::string& text) {
   journal.seed = static_cast<std::uint64_t>(header.at("seed").as_number());
   journal.replications =
       static_cast<std::size_t>(header.at("replications").as_number());
+  if (header.has("build")) journal.build = header.at("build").as_string();
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     try {
@@ -78,7 +122,36 @@ Journal parse_journal(const std::string& text) {
 
 std::optional<Journal> load_journal(const std::string& path) {
   if (!std::filesystem::exists(path)) return std::nullopt;
-  return parse_journal(read_file(path));
+  Journal journal = parse_journal(read_file(path));
+  if (journal.build.empty() || journal.build != build_id()) {
+    log_warn("journal ", path, " was written by another build (",
+             journal.build.empty() ? "unrecorded" : journal.build,
+             "); ignoring its cells");
+    return std::nullopt;
+  }
+  return journal;
+}
+
+std::vector<const ManifestCell*> select_cell_records(
+    const std::vector<Cell>& grid, const std::vector<Journal>& journals) {
+  std::vector<const ManifestCell*> picked(grid.size(), nullptr);
+  for (const Journal& journal : journals) {
+    for (const ManifestCell& record : journal.cells) {
+      if (record.index >= grid.size() ||
+          record.param_hash != hash_hex(cell_param_hash(grid[record.index]))) {
+        log_warn("dropping journal record for cell ", record.index,
+                 ": not a cell of this grid");
+        continue;
+      }
+      const ManifestCell*& slot = picked[record.index];
+      if (slot != nullptr && slot->status == CellStatus::kOk &&
+          record.status != CellStatus::kOk) {
+        continue;  // an ok record is never demoted by a failed one
+      }
+      slot = &record;
+    }
+  }
+  return picked;
 }
 
 }  // namespace gridtrust::lab

@@ -4,7 +4,7 @@
 //       All registered sweep specs and suites (docs/experiments-catalog.md
 //       documents each one).
 //   gridtrust_lab run <spec|suite>... [--jobs N] [--seed S]
-//       [--replications R] [--out PATH] [--cache-dir DIR] [--csv]
+//       [--replications R] [--out PATH] [--csv]
 //       [--metrics-out PATH] [--retries N] [--failure-budget PCT]
 //       [--journal PATH] [--resume PATH] [--unit-deadline SECONDS]
 //       [--workers N] [--shard-dir DIR] [--heartbeat-timeout SECONDS]
@@ -12,12 +12,12 @@
 //       Runs the named sweeps on the engine.  --jobs 0 uses the shared
 //       hardware-sized pool; manifests are byte-identical for every --jobs
 //       value.  --out writes the manifest (a directory when several specs
-//       run).  --cache-dir skips cells whose content key was computed
-//       before.  Failed units retry (--retries) and downgrade the run to a
+//       run).  Failed units retry (--retries) and downgrade the run to a
 //       partial manifest while within --failure-budget; --journal
-//       checkpoints completed cells crash-safely and --resume re-loads
-//       them.  SIGINT/SIGTERM drain in-flight units, flush the journal and
-//       a partial manifest, and exit 130.
+//       checkpoints finished cells crash-safely and --resume re-loads the
+//       completed ones (never from another build's journal).
+//       SIGINT/SIGTERM drain in-flight units, flush the journal and a
+//       partial manifest, and exit 130.
 //       --workers N > 0 switches to the crash-tolerant multi-process
 //       supervisor (docs/supervisor.md): cells shard across N forked
 //       workers journaling into --shard-dir, dead workers are triaged and
@@ -50,10 +50,6 @@
 namespace {
 
 using namespace gridtrust;
-
-// Exit codes beyond the conventional 0/1/2.
-constexpr int kExitPartial = 4;
-constexpr int kExitInterrupted = 130;  // 128 + SIGINT, the shell convention
 
 std::atomic<bool> g_interrupted{false};
 
@@ -127,47 +123,21 @@ int cmd_run_supervised(const std::vector<std::string>& resolved,
   obs::MetricsExportScope metrics(cli);
   const lab::SupervisorRun run = lab::run_supervised(*spec, options, sup);
 
-  const TextTable table = lab::sweep_table(*spec, run.manifest);
-  std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());
-  for (const std::string& line : lab::paired_summaries(run.manifest)) {
-    std::cout << "  " << line << "\n";
-  }
-  std::cout << "  expected: " << spec->expected << "\n"
-            << "  " << run.cells << " cells over " << sup.workers
-            << " workers, " << format_grouped(run.wall_seconds, 2)
-            << " s wall\n"
-            << "  supervisor: " << run.counters.workers_spawned
-            << " spawned, " << run.counters.workers_lost << " lost, "
-            << run.counters.workers_respawned << " respawned, "
-            << run.counters.cells_reassigned << " cells reassigned, "
-            << run.counters.heartbeats_missed << " heartbeats missed\n";
-  if (run.manifest.outcome != lab::RunOutcome::kComplete ||
-      run.cells_failed > 0) {
-    std::cout << "  outcome: " << lab::to_string(run.manifest.outcome)
-              << " (" << run.cells_failed << " cells failed)\n";
-    for (const lab::ManifestCell& cell : run.manifest.cells) {
-      for (const lab::UnitFailure& failure : cell.failures) {
-        std::cout << "    cell " << cell.index << " rep " << failure.rep
-                  << " [" << to_string(failure.error_class) << " after "
-                  << failure.attempts << " attempt(s)]: " << failure.message
-                  << "\n";
-      }
-    }
-  }
-  std::cout << "\n";
-
-  const std::string out_path = cli.get_string("out");
-  if (!out_path.empty()) {
-    atomic_write_file(out_path, lab::to_json(run.manifest));
-    std::cout << "  manifest: " << out_path << "\n\n";
-  }
-
-  switch (run.manifest.outcome) {
-    case lab::RunOutcome::kComplete: return 0;
-    case lab::RunOutcome::kPartial: return kExitPartial;
-    case lab::RunOutcome::kInterrupted: return kExitInterrupted;
-  }
-  return 0;
+  lab::RunSummary summary;
+  summary.stats =
+      "  " + std::to_string(run.cells) + " cells over " +
+      std::to_string(sup.workers) + " workers, " +
+      format_grouped(run.wall_seconds, 2) + " s wall\n  supervisor: " +
+      std::to_string(run.counters.workers_spawned) + " spawned, " +
+      std::to_string(run.counters.workers_lost) + " lost, " +
+      std::to_string(run.counters.workers_respawned) + " respawned, " +
+      std::to_string(run.counters.cells_reassigned) + " cells reassigned, " +
+      std::to_string(run.counters.heartbeats_missed) +
+      " heartbeats missed\n";
+  summary.outcome_counts = std::to_string(run.cells_failed) + " cells failed";
+  summary.csv = cli.get_flag("csv");
+  summary.out_path = cli.get_string("out");
+  return lab::print_run_summary(std::cout, *spec, run.manifest, summary);
 }
 
 int cmd_run(const std::vector<std::string>& names, const CliParser& cli) {
@@ -191,7 +161,6 @@ int cmd_run(const std::vector<std::string>& names, const CliParser& cli) {
     options.replications = static_cast<std::size_t>(
         cli.get_int("replications"));
   }
-  options.cache_dir = cli.get_string("cache-dir");
 
   // Fault tolerance: N retries = N + 1 attempts; the CLI default budget is
   // fully tolerant (a long campaign should survive a sick cell), while
@@ -236,53 +205,29 @@ int cmd_run(const std::vector<std::string>& names, const CliParser& cli) {
     const lab::SweepRun run = lab::run_sweep(*spec, options);
     total_wall += run.wall_seconds;
 
-    const TextTable table = lab::sweep_table(*spec, run.manifest);
-    std::cout << (cli.get_flag("csv") ? table.to_csv() : table.to_string());
-    for (const std::string& line : lab::paired_summaries(run.manifest)) {
-      std::cout << "  " << line << "\n";
-    }
-    std::cout << "  expected: " << spec->expected << "\n"
-              << "  " << run.cells << " cells, " << run.units_run
-              << " units run, " << run.cache_hits << " cache hits, "
-              << format_grouped(run.wall_seconds, 2) << " s wall\n";
-    if (run.manifest.outcome != lab::RunOutcome::kComplete ||
-        run.units_failed > 0 || run.units_retried > 0 ||
-        run.cells_resumed > 0) {
-      std::cout << "  outcome: " << lab::to_string(run.manifest.outcome)
-                << " (" << run.units_failed << " units failed, "
-                << run.units_retried << " retries, " << run.cells_failed
-                << " cells failed, " << run.cells_skipped
-                << " cells skipped, " << run.cells_resumed
-                << " cells resumed)\n";
-      for (const lab::ManifestCell& cell : run.manifest.cells) {
-        for (const lab::UnitFailure& failure : cell.failures) {
-          std::cout << "    cell " << cell.index << " rep " << failure.rep
-                    << " [" << to_string(failure.error_class) << " after "
-                    << failure.attempts << " attempt(s)]: "
-                    << failure.message << "\n";
-        }
-      }
-    }
-    std::cout << "\n";
-
+    lab::RunSummary summary;
+    summary.stats = "  " + std::to_string(run.cells) + " cells, " +
+                    std::to_string(run.units_run) + " units run, " +
+                    format_grouped(run.wall_seconds, 2) + " s wall\n";
+    summary.outcome_counts =
+        std::to_string(run.units_failed) + " units failed, " +
+        std::to_string(run.units_retried) + " retries, " +
+        std::to_string(run.cells_failed) + " cells failed, " +
+        std::to_string(run.cells_skipped) + " cells skipped, " +
+        std::to_string(run.cells_resumed) + " cells resumed";
+    summary.show_outcome = run.units_retried > 0 || run.cells_resumed > 0;
+    summary.csv = cli.get_flag("csv");
     if (!out_path.empty()) {
-      const std::string path =
+      summary.out_path =
           out_is_dir ? out_path + "/" + name + ".json" : out_path;
-      atomic_write_file(path, lab::to_json(run.manifest));
-      std::cout << "  manifest: " << path << "\n\n";
     }
-
-    switch (run.manifest.outcome) {
-      case lab::RunOutcome::kComplete:
-        break;
-      case lab::RunOutcome::kPartial:
-        exit_code = std::max(exit_code, kExitPartial);
-        break;
-      case lab::RunOutcome::kInterrupted:
-        exit_code = kExitInterrupted;
-        break;
+    // 0 < 4 (partial) < 130 (interrupted): the worst outcome wins.
+    exit_code = std::max(
+        exit_code, lab::print_run_summary(std::cout, *spec, run.manifest,
+                                          summary));
+    if (exit_code == lab::outcome_exit_code(lab::RunOutcome::kInterrupted)) {
+      break;  // don't start the next spec
     }
-    if (exit_code == kExitInterrupted) break;  // don't start the next spec
   }
   if (resolved.size() > 1) {
     std::cout << "total: " << format_grouped(total_wall, 2) << " s wall over "
@@ -341,7 +286,6 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 20020815, "master seed override for run");
   cli.add_int("replications", 0, "replication-count override for run");
   cli.add_string("out", "", "manifest output path (directory for suites)");
-  cli.add_string("cache-dir", "", "result-cache directory (empty = off)");
   cli.add_double("tolerance", -1.0,
                  "compare gate in percent (negative = baseline's own)");
   cli.add_flag("csv", "emit CSV instead of ASCII tables");

@@ -175,6 +175,15 @@ std::string to_string(RunOutcome outcome) {
   return "complete";
 }
 
+int outcome_exit_code(RunOutcome outcome) {
+  switch (outcome) {
+    case RunOutcome::kComplete: return 0;
+    case RunOutcome::kPartial: return 4;
+    case RunOutcome::kInterrupted: return 130;
+  }
+  return 0;
+}
+
 RunOutcome parse_run_outcome(const std::string& text) {
   if (text == "complete") return RunOutcome::kComplete;
   if (text == "partial") return RunOutcome::kPartial;

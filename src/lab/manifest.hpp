@@ -63,6 +63,11 @@ enum class RunOutcome {
 std::string to_string(RunOutcome outcome);
 RunOutcome parse_run_outcome(const std::string& text);
 
+/// Process exit code for a run's outcome (docs/experiments-guide.md):
+/// 0 complete, 4 partial, 130 interrupted (128 + SIGINT).  The CLI and the
+/// supervisor's workers both exit with it.
+int outcome_exit_code(RunOutcome outcome);
+
 /// One grid point's results.  MetricAggregate lives in lab/spec.hpp.
 struct ManifestCell {
   std::size_t index = 0;
@@ -105,7 +110,7 @@ struct Manifest {
 /// produce byte-equal JSON, and parse_manifest(to_json(m)) == m.
 std::string to_json(const Manifest& manifest);
 
-/// One cell as a standalone JSON object (the result cache's file format).
+/// One cell as a standalone JSON object (a checkpoint journal line).
 std::string cell_to_json(const ManifestCell& cell);
 
 /// Parses a full manifest document; throws PreconditionError on malformed

@@ -1,5 +1,7 @@
 #include "lab/render.hpp"
 
+#include "common/fs.hpp"
+
 namespace gridtrust::lab {
 
 namespace {
@@ -86,6 +88,40 @@ std::vector<std::string> paired_summaries(const Manifest& manifest) {
                   ", n=" + std::to_string(diff->n) + ")");
   }
   return out;
+}
+
+int print_run_summary(std::ostream& out, const SweepSpec& spec,
+                      const Manifest& manifest, const RunSummary& summary) {
+  const TextTable table = summary.paper_layout
+                              ? paper_schedule_table(spec.title, manifest)
+                              : sweep_table(spec, manifest);
+  out << (summary.csv ? table.to_csv() : table.to_string());
+  for (const std::string& line : paired_summaries(manifest)) {
+    out << "  " << line << "\n";
+  }
+  out << "  expected: " << spec.expected << "\n" << summary.stats;
+  bool any_failure = false;
+  for (const ManifestCell& cell : manifest.cells) {
+    any_failure = any_failure || !cell.failures.empty();
+  }
+  if (summary.show_outcome || any_failure ||
+      manifest.outcome != RunOutcome::kComplete) {
+    out << "  outcome: " << to_string(manifest.outcome) << " ("
+        << summary.outcome_counts << ")\n";
+    for (const ManifestCell& cell : manifest.cells) {
+      for (const UnitFailure& failure : cell.failures) {
+        out << "    cell " << cell.index << " rep " << failure.rep << " ["
+            << to_string(failure.error_class) << " after " << failure.attempts
+            << " attempt(s)]: " << failure.message << "\n";
+      }
+    }
+  }
+  out << "\n";
+  if (!summary.out_path.empty()) {
+    atomic_write_file(summary.out_path, to_json(manifest));
+    out << "  manifest: " << summary.out_path << "\n\n";
+  }
+  return outcome_exit_code(manifest.outcome);
 }
 
 }  // namespace gridtrust::lab

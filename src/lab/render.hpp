@@ -6,6 +6,7 @@
 // baseline) records.
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,5 +31,23 @@ TextTable paper_schedule_table(const std::string& title,
 /// One "tasks=50: improvement 23.0% (95% CI half-width 3.2%, n=50)" line
 /// per cell of a paired sweep.
 std::vector<std::string> paired_summaries(const Manifest& manifest);
+
+/// How print_run_summary reports one finished run.
+struct RunSummary {
+  std::string stats;           ///< run-stats line(s) printed after `expected:`
+  std::string outcome_counts;  ///< detail printed as `outcome: <o> (<counts>)`
+  bool show_outcome = false;   ///< print the outcome even for a clean run
+  bool csv = false;            ///< CSV instead of the ASCII table
+  bool paper_layout = false;   ///< paper_schedule_table, not sweep_table
+  std::string out_path;        ///< write the manifest here (empty = don't)
+};
+
+/// Reports a finished run the same way for the CLI and the benches: the
+/// table, paired summaries, `expected:`, the stats, the outcome line plus
+/// one line per failure (whenever the run is not complete, a cell failed,
+/// or `show_outcome`), and the manifest written atomically to `out_path`.
+/// Returns the run's exit code (outcome_exit_code).
+int print_run_summary(std::ostream& out, const SweepSpec& spec,
+                      const Manifest& manifest, const RunSummary& summary);
 
 }  // namespace gridtrust::lab

@@ -109,7 +109,7 @@ struct SweepSpec {
   /// Expected qualitative outcome, printed next to results.
   std::string expected;
   /// Bump when the runner's semantics change: the content hash (and so the
-  /// result cache and baselines) invalidates with it.
+  /// checkpoint journals and baselines) invalidates with it.
   std::string version = "1";
 
   std::vector<Axis> axes;

@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/subprocess.hpp"
-#include "obs/json_in.hpp"
 #include "obs/metrics.hpp"
 
 namespace gridtrust::lab {
@@ -23,11 +22,10 @@ const obs::Counter kWorkersRespawned("lab.supervisor.workers_respawned");
 const obs::Counter kCellsReassigned("lab.supervisor.cells_reassigned");
 const obs::Counter kHeartbeatsMissed("lab.supervisor.heartbeats_missed");
 
-// Frame protocol (child -> coordinator), one tag byte then payload:
-//   "H"          heartbeat
-//   "C<json>"    a finalized cell (ok or failed), already journaled
+// Frame protocol (child -> coordinator): heartbeats only, each a single
+// "H" byte.  Finished cells travel through the shard journals, which the
+// coordinator merges once every worker is done.
 constexpr char kFrameHeartbeat = 'H';
-constexpr char kFrameCell = 'C';
 
 /// Coordinator poll cadence: short enough that heartbeat deadlines are
 /// checked promptly, long enough not to busy-spin a single-core box.
@@ -42,19 +40,13 @@ extern "C" void worker_term_handler(int) {
   g_worker_cancel.store(true, std::memory_order_relaxed);
 }
 
-/// Child exit codes with supervisor-level meaning (everything else is a
-/// classified failure, see common/subprocess kClassExitBase).
-constexpr int kExitComplete = 0;
-constexpr int kExitPartial = 4;
-constexpr int kExitInterrupted = 130;
-
 std::string shard_journal_path(const std::string& shard_dir,
                                std::size_t worker) {
   return shard_dir + "/shard-" + std::to_string(worker) + ".journal";
 }
 
 /// The worker process body: run the engine serially over this shard,
-/// resuming from the shard journal, streaming cells and heartbeats.
+/// resuming from and journaling into the shard journal, heartbeating.
 int worker_main(const FrameWriter& writer, const SweepSpec& spec,
                 const EngineOptions& engine,
                 const std::vector<std::size_t>& subset,
@@ -74,21 +66,19 @@ int worker_main(const FrameWriter& writer, const SweepSpec& spec,
   options.cell_subset = &subset;
   options.journal_path = journal_path;
   options.resume_journal = journal_path;  // missing file == empty journal
-  // Workers never abort on failures: every failed cell is reported to the
-  // coordinator, which owns the run-level budget decision.
+  // Workers never abort on failures: every failed cell is journaled for
+  // the coordinator, which owns the run-level budget decision.
   options.failure_budget_pct = 100.0;
   options.cancel = &g_worker_cancel;
 
   std::size_t fresh_cells = 0;
-  options.on_cell_complete = [&](const ManifestCell& cell) {
-    // The journal flush already happened (engine contract), so the
-    // coordinator can treat this frame as durable progress.
-    writer.send(kFrameCell + cell_to_json(cell));
-    ++fresh_cells;
-    if (plan != nullptr && fresh_cells == plan->after_cells) {
-      self_signal(plan->signal);
-    }
-  };
+  if (plan != nullptr) {
+    // Fired after the cell's journal flush (engine contract), so the
+    // scripted death always strikes after durable progress.
+    options.on_cell_complete = [&] {
+      if (++fresh_cells == plan->after_cells) self_signal(plan->signal);
+    };
+  }
   double last_heartbeat = monotonic_seconds();
   options.on_unit_complete = [&] {
     const double now = monotonic_seconds();
@@ -98,13 +88,7 @@ int worker_main(const FrameWriter& writer, const SweepSpec& spec,
     }
   };
 
-  const SweepRun run = run_sweep(spec, options);
-  switch (run.manifest.outcome) {
-    case RunOutcome::kComplete: return kExitComplete;
-    case RunOutcome::kPartial: return kExitPartial;
-    case RunOutcome::kInterrupted: return kExitInterrupted;
-  }
-  return kExitComplete;
+  return outcome_exit_code(run_sweep(spec, options).manifest.outcome);
 }
 
 /// One worker slot's supervision state.
@@ -153,54 +137,31 @@ void SupervisorCounters::to_report(obs::RunReport& report) const {
 
 ShardMerge merge_shards(const SweepSpec& spec, std::uint64_t seed,
                         std::size_t replications,
-                        const std::vector<Journal>& journals,
-                        const std::vector<ManifestCell>& streamed) {
+                        std::vector<Journal> journals) {
   ShardMerge merge;
   merge.manifest = manifest_header(spec, seed, replications);
   const std::vector<Cell> cells = spec.cells();
   merge.manifest.cells.resize(cells.size());
 
-  std::vector<std::string> expected_hash(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    expected_hash[i] = hash_hex(cell_param_hash(cells[i]));
-  }
-
-  std::vector<char> seen(cells.size(), 0);
-  const auto admit = [&](const ManifestCell& cell) {
-    if (cell.index >= cells.size() ||
-        cell.param_hash != expected_hash[cell.index]) {
-      log_warn("dropping shard cell ", cell.index,
-               ": not a cell of this grid");
-      return;
-    }
-    ManifestCell& slot = merge.manifest.cells[cell.index];
-    if (seen[cell.index] != 0 && slot.status == CellStatus::kOk &&
-        cell.status != CellStatus::kOk) {
-      return;  // an ok record is never demoted by a stale failure
-    }
-    slot = cell;
-    seen[cell.index] = 1;
-  };
-
-  for (const Journal& journal : journals) {
-    if (journal.spec_hash != merge.manifest.spec_hash) {
-      log_warn("dropping shard journal for spec ", journal.spec,
-               ": foreign spec hash");
-      continue;
-    }
-    for (const ManifestCell& cell : journal.cells) admit(cell);
-  }
-  for (const ManifestCell& cell : streamed) admit(cell);
+  std::erase_if(journals, [&](const Journal& journal) {
+    if (journal.spec_hash == merge.manifest.spec_hash) return false;
+    log_warn("dropping shard journal for spec ", journal.spec,
+             ": foreign spec hash");
+    return true;
+  });
+  const std::vector<const ManifestCell*> picked =
+      select_cell_records(cells, journals);
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (seen[i] != 0) {
-      merge.units_failed += merge.manifest.cells[i].failures.size();
-      continue;
-    }
     ManifestCell& slot = merge.manifest.cells[i];
+    if (picked[i] != nullptr) {
+      slot = *picked[i];
+      merge.units_failed += slot.failures.size();
+      continue;
+    }
     slot.index = cells[i].index;
     slot.params = cells[i].params;
-    slot.param_hash = expected_hash[i];
+    slot.param_hash = hash_hex(cell_param_hash(cells[i]));
     slot.replications = replications;
     slot.status = CellStatus::kSkipped;
     merge.missing.push_back(i);
@@ -224,6 +185,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
                    " of " + std::to_string(options.workers));
   }
   std::filesystem::create_directories(options.shard_dir);
+  (void)build_id();  // digest the binary once, before any worker forks
 
   const double t0 = monotonic_seconds();
   const std::uint64_t seed = engine.seed.value_or(spec.seed);
@@ -238,8 +200,6 @@ SupervisorRun run_supervised(const SweepSpec& spec,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     slots[i % options.workers].subset.push_back(i);
   }
-
-  std::vector<ManifestCell> streamed;  // frame-delivered cells, in order
 
   const auto fault_plan_for =
       [&](std::size_t worker,
@@ -280,18 +240,12 @@ SupervisorRun run_supervised(const SweepSpec& spec,
 
   for (std::size_t w = 0; w < options.workers; ++w) spawn(w);
 
+  // Every frame is a heartbeat: its arrival (not its content) is what
+  // refreshes the slot's deadline.
   const auto drain_slot = [&](WorkerSlot& slot) {
     std::vector<std::string> frames;
     slot.reader.drain(frames);
-    for (const std::string& frame : frames) {
-      if (frame.empty()) continue;
-      slot.last_seen = monotonic_seconds();
-      if (frame[0] == kFrameCell) {
-        streamed.push_back(
-            parse_manifest_cell(obs::parse_json(frame.substr(1))));
-      }
-      // kFrameHeartbeat carries no payload; last_seen refresh is the point.
-    }
+    if (!frames.empty()) slot.last_seen = monotonic_seconds();
   };
 
   // A lost worker (abnormal exit or hang) lands here: transient classes
@@ -356,12 +310,13 @@ SupervisorRun run_supervised(const SweepSpec& spec,
       if (!slot.live()) continue;
 
       if (const std::optional<ExitStatus> exit = slot.child.poll_exit()) {
-        drain_slot(slot);  // frames can race the exit; never drop them
         slot.child.close_channel();
-        if (!exit->signaled && (exit->code == kExitComplete ||
-                                exit->code == kExitPartial)) {
+        if (!exit->signaled &&
+            (exit->code == outcome_exit_code(RunOutcome::kComplete) ||
+             exit->code == outcome_exit_code(RunOutcome::kPartial))) {
           slot.done = true;
-        } else if (!exit->signaled && exit->code == kExitInterrupted) {
+        } else if (!exit->signaled &&
+                   exit->code == outcome_exit_code(RunOutcome::kInterrupted)) {
           slot.interrupted = true;
         } else if (termed) {
           // Cancellation is in flight: deaths past the SIGTERM fan-out are
@@ -380,7 +335,6 @@ SupervisorRun run_supervised(const SweepSpec& spec,
         kHeartbeatsMissed.add();
         slot.child.send_signal(SIGKILL);
         (void)slot.child.wait_exit();
-        drain_slot(slot);
         slot.child.close_channel();
         if (termed) {
           slot.interrupted = true;  // hung during drain-out: still cancelled
@@ -393,9 +347,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
     }
   }
 
-  // Merge: shard journals first (completion order within each shard),
-  // then streamed frames — which include *failed* cells the journals
-  // never record.
+  // Merge the shard journals: they hold every finalized cell, ok or failed.
   std::vector<Journal> journals;
   for (std::size_t w = 0; w < slots.size(); ++w) {
     try {
@@ -408,7 +360,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
     }
   }
   ShardMerge merge =
-      merge_shards(spec, seed, replications, journals, streamed);
+      merge_shards(spec, seed, replications, std::move(journals));
   run.manifest = std::move(merge.manifest);
 
   // Cells no shard accounted for: an interrupted shard's are legitimately

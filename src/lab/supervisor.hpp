@@ -3,8 +3,9 @@
 // `run_supervised` partitions a sweep's grid across forked worker
 // processes (round-robin: cell i -> shard i % workers).  Each worker runs
 // the ordinary in-process engine over its shard with a private checkpoint
-// journal, streaming completed cells and heartbeats to the coordinator
-// over a length-prefixed pipe (common/subprocess).  The coordinator's job
+// journal that records every finalized cell, ok or failed, and sends only
+// heartbeats over a length-prefixed pipe (common/subprocess); the
+// coordinator builds the manifest from the shard journals alone.  Its job
 // is triage: a worker that dies — SIGKILL, SIGSEGV, a classified nonzero
 // exit, or a missed heartbeat deadline — is diagnosed through the
 // common/retry taxonomy and, when the failure is transient, respawned
@@ -101,13 +102,11 @@ SupervisorRun run_supervised(const SweepSpec& spec,
                              const EngineOptions& engine,
                              const SupervisorOptions& options);
 
-/// Deterministic merge of shard journals plus frame-streamed cells under
-/// the exact single-process manifest header.  Precedence per cell: an `ok`
-/// record beats a failed one (a reassigned cell that later succeeded
-/// wins); among records of equal standing the *last* input wins, with
-/// `journals` (in order) processed before `streamed` (in arrival order).
-/// Records whose param_hash does not match this grid, and journals whose
-/// spec_hash is foreign, are dropped with a warning.  Exposed for tests.
+/// Deterministic merge of shard journals under the exact single-process
+/// manifest header.  Journals whose spec_hash is foreign are dropped with a
+/// warning; select_cell_records picks each cell's record from the rest (an
+/// `ok` record beats a failed one, otherwise the last record in journal
+/// order wins, foreign-grid records are dropped).  Exposed for tests.
 struct ShardMerge {
   Manifest manifest;  ///< missing cells carry identity + status skipped
   std::vector<std::size_t> missing;  ///< grid indices no shard accounted for
@@ -115,7 +114,6 @@ struct ShardMerge {
 };
 ShardMerge merge_shards(const SweepSpec& spec, std::uint64_t seed,
                         std::size_t replications,
-                        const std::vector<Journal>& journals,
-                        const std::vector<ManifestCell>& streamed);
+                        std::vector<Journal> journals);
 
 }  // namespace gridtrust::lab

@@ -21,14 +21,6 @@ void check_batch(const SchedulingProblem& p,
   }
 }
 
-/// Earliest start of request r on any machine, before availability:
-/// max(ready, arrival(r)).  decision_completion takes
-/// max(α_m, ready, arrival(r)); folding the two request-side terms first
-/// keeps std::max's first-of-equals choice, so every double is the same.
-double start_floor(const SchedulingProblem& p, std::size_t r, double ready) {
-  return std::max(ready, p.arrival_time(r));
-}
-
 /// Best machine and completion metric for one request.
 struct BestChoice {
   std::size_t machine = 0;

@@ -52,10 +52,19 @@ class BatchHeuristic {
 };
 
 /// Completion metric used for mapping decisions:
-/// max(α_m, ready, arrival(r)) + decision_cost(r, m).
+/// max(α_m, ready, arrival(r)) + decision_cost(r, m).  The heuristics
+/// compute it as max(α_m, start_floor(p, r, ready)) + decision_cost(r, m),
+/// hoisting the request-side floor out of their machine loops; this
+/// per-machine form is the reference they are tested against.
 double decision_completion(const SchedulingProblem& p, std::size_t r,
                            std::size_t m, double ready,
                            const Schedule& schedule);
+
+/// Earliest start of request r on any machine, before availability:
+/// max(ready, arrival(r)).  Folding the two request-side terms first keeps
+/// std::max's first-of-equals choice, so every completion double equals
+/// decision_completion's.
+double start_floor(const SchedulingProblem& p, std::size_t r, double ready);
 
 // --- Immediate-mode heuristics of [10] ---
 

@@ -15,15 +15,28 @@ double decision_completion(const SchedulingProblem& p, std::size_t r,
   return begin + p.decision_cost(r, m);
 }
 
+double start_floor(const SchedulingProblem& p, std::size_t r, double ready) {
+  return std::max(ready, p.arrival_time(r));
+}
+
 namespace {
+
+/// decision_completion(p, r, m, ready, schedule) given
+/// floor = start_floor(p, r, ready), bit for bit.
+double completion_from(const SchedulingProblem& p, std::size_t r,
+                       std::size_t m, double floor, const Schedule& schedule) {
+  return std::max(schedule.machine_available[m], floor) +
+         p.decision_cost(r, m);
+}
 
 /// Machine with the minimum completion metric (lowest index wins ties).
 std::size_t argmin_completion(const SchedulingProblem& p, std::size_t r,
                               double ready, const Schedule& schedule) {
+  const double floor = start_floor(p, r, ready);
   std::size_t best = 0;
-  double best_ct = decision_completion(p, r, 0, ready, schedule);
+  double best_ct = completion_from(p, r, 0, floor, schedule);
   for (std::size_t m = 1; m < p.num_machines(); ++m) {
-    const double ct = decision_completion(p, r, m, ready, schedule);
+    const double ct = completion_from(p, r, m, floor, schedule);
     if (ct < best_ct) {
       best_ct = ct;
       best = m;
@@ -104,11 +117,12 @@ class Kpb final : public ImmediateHeuristic {
                      [&](std::size_t a, std::size_t b) {
                        return p.decision_cost(r, a) < p.decision_cost(r, b);
                      });
+    const double floor = start_floor(p, r, ready);
     std::size_t best = order[0];
-    double best_ct = decision_completion(p, r, best, ready, schedule);
+    double best_ct = completion_from(p, r, best, floor, schedule);
     for (std::size_t i = 1; i < subset_size; ++i) {
       const std::size_t m = order[i];
-      const double ct = decision_completion(p, r, m, ready, schedule);
+      const double ct = completion_from(p, r, m, floor, schedule);
       if (ct < best_ct || (ct == best_ct && m < best)) {
         best_ct = ct;
         best = m;

@@ -8,6 +8,10 @@
 // request and bit-identical start, completion, availability and busy
 // doubles.
 //
+// The immediate heuristics hoist the request-side start floor out of their
+// machine loops; ImmediateOracle checks each against an argmin over the
+// per-machine decision_completion on the same instances.
+//
 // In the spirit of a randomized-test registry (MathGeoLib's
 // AddRandomizedTest / RunTests(numTimes)), every (heuristic, family) pair
 // runs over a fixed range of seeds, and a failure names the pair and the
@@ -16,6 +20,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <functional>
 #include <cstdint>
 #include <ios>
 #include <memory>
@@ -187,8 +193,16 @@ std::optional<std::string> first_difference(const Schedule& got,
   return doubles("machine_busy", got.machine_busy, want.machine_busy);
 }
 
-class BatchOracle
-    : public ::testing::TestWithParam<std::tuple<const char*, Family>> {};
+using OracleParam = std::tuple<const char*, Family>;
+
+// gtest's default printer shows the const char* and Family::name as
+// addresses, which ASLR changes on every run; the discovered ctest names
+// carry the printed parameter, so print it by value to keep them stable.
+void PrintTo(const OracleParam& param, std::ostream* os) {
+  *os << std::get<0>(param) << " on " << std::get<1>(param).name;
+}
+
+class BatchOracle : public ::testing::TestWithParam<OracleParam> {};
 
 TEST_P(BatchOracle, MatchesTheFullRescanReference) {
   const std::string heuristic = std::get<0>(GetParam());
@@ -218,7 +232,7 @@ TEST_P(BatchOracle, MatchesTheFullRescanReference) {
 }
 
 std::string oracle_case_name(
-    const ::testing::TestParamInfo<std::tuple<const char*, Family>>& info) {
+    const ::testing::TestParamInfo<OracleParam>& info) {
   std::string name = std::string(std::get<0>(info.param)) + "_" +
                      std::get<1>(info.param).name;
   for (char& c : name) {
@@ -249,6 +263,159 @@ TEST(BatchOracle, AllRequestsPreferOneMachine) {
     make_reference(name)->map_batch(p, batch, 0.0, want);
     EXPECT_EQ(first_difference(got, want), std::nullopt) << name;
   }
+}
+
+// ------------------------------------------------ immediate heuristics
+
+/// Lowest-index argmin of decision_completion over `machines` (in order).
+std::size_t reference_argmin(const SchedulingProblem& p, std::size_t r,
+                             double ready, const Schedule& schedule,
+                             const std::vector<std::size_t>& machines) {
+  std::size_t best = machines.front();
+  double best_ct = decision_completion(p, r, best, ready, schedule);
+  for (const std::size_t m : machines) {
+    const double ct = decision_completion(p, r, m, ready, schedule);
+    if (ct < best_ct || (ct == best_ct && m < best)) {
+      best_ct = ct;
+      best = m;
+    }
+  }
+  return best;
+}
+
+std::vector<std::size_t> all_machines(const SchedulingProblem& p) {
+  std::vector<std::size_t> out(p.num_machines());
+  for (std::size_t m = 0; m < out.size(); ++m) out[m] = m;
+  return out;
+}
+
+std::size_t reference_met(const SchedulingProblem& p, std::size_t r) {
+  std::size_t best = 0;
+  for (std::size_t m = 1; m < p.num_machines(); ++m) {
+    if (p.decision_cost(r, m) < p.decision_cost(r, best)) best = m;
+  }
+  return best;
+}
+
+/// KPB: the ceil(k%) machines with the lowest decision cost (stable), then
+/// the completion argmin among them.
+std::size_t reference_kpb(const SchedulingProblem& p, std::size_t r,
+                          double ready, const Schedule& schedule,
+                          double k_pct) {
+  std::vector<std::size_t> order = all_machines(p);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return p.decision_cost(r, a) < p.decision_cost(r, b);
+  });
+  const auto keep = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(
+          static_cast<double>(order.size()) * k_pct / 100.0)),
+      1, order.size());
+  order.resize(keep);
+  return reference_argmin(p, r, ready, schedule, order);
+}
+
+using Selector = std::function<std::size_t(
+    const SchedulingProblem&, std::size_t, double, const Schedule&)>;
+
+struct ImmediateCase {
+  std::string name;
+  std::function<std::unique_ptr<ImmediateHeuristic>()> make;
+  std::function<Selector()> make_reference;  // fresh state per instance
+};
+
+std::vector<ImmediateCase> immediate_cases() {
+  std::vector<ImmediateCase> out;
+  out.push_back({"olb", make_olb, [] {
+                   return Selector([](const SchedulingProblem& p,
+                                      std::size_t, double,
+                                      const Schedule& s) {
+                     std::size_t best = 0;
+                     for (std::size_t m = 1; m < p.num_machines(); ++m) {
+                       if (s.machine_available[m] <
+                           s.machine_available[best]) {
+                         best = m;
+                       }
+                     }
+                     return best;
+                   });
+                 }});
+  out.push_back({"met", make_met, [] {
+                   return Selector([](const SchedulingProblem& p,
+                                      std::size_t r, double,
+                                      const Schedule&) {
+                     return reference_met(p, r);
+                   });
+                 }});
+  out.push_back({"mct", make_mct, [] {
+                   return Selector([](const SchedulingProblem& p,
+                                      std::size_t r, double ready,
+                                      const Schedule& s) {
+                     return reference_argmin(p, r, ready, s, all_machines(p));
+                   });
+                 }});
+  for (const double k : {20.0, 50.0, 100.0}) {
+    out.push_back({"kpb" + std::to_string(static_cast<int>(k)),
+                   [k] { return make_kpb(k); },
+                   [k] {
+                     return Selector([k](const SchedulingProblem& p,
+                                         std::size_t r, double ready,
+                                         const Schedule& s) {
+                       return reference_kpb(p, r, ready, s, k);
+                     });
+                   }});
+  }
+  // Switching (default thresholds 0.6 / 0.9) with its MET/MCT mode state.
+  out.push_back({"switching", [] { return make_switching(); }, [] {
+                   auto use_met = std::make_shared<bool>(false);
+                   return Selector([use_met](const SchedulingProblem& p,
+                                             std::size_t r, double ready,
+                                             const Schedule& s) {
+                     const auto [mn, mx] =
+                         std::minmax_element(s.machine_available.begin(),
+                                             s.machine_available.end());
+                     const double index = *mx > 0.0 ? *mn / *mx : 1.0;
+                     if (index <= 0.6) *use_met = false;
+                     if (index >= 0.9) *use_met = true;
+                     return *use_met ? reference_met(p, r)
+                                     : reference_argmin(p, r, ready, s,
+                                                        all_machines(p));
+                   });
+                 }});
+  return out;
+}
+
+TEST(ImmediateOracle, SelectsTheDecisionCompletionArgmin) {
+  const std::vector<ImmediateCase> cases = immediate_cases();
+  ASSERT_EQ(immediate_heuristic_names().size(), 5u);  // every one covered
+  std::size_t decisions = 0;
+  for (const Family& family : kFamilies) {
+    for (std::uint64_t seed = 1; seed <= kSeedsPerCase / 5; ++seed) {
+      const Instance instance = draw_instance(family, seed);
+      const SchedulingProblem& p = instance.problem;
+      for (const ImmediateCase& c : cases) {
+        const auto production = c.make();
+        production->reset();
+        const Selector reference = c.make_reference();
+        Schedule schedule = Schedule::for_problem(p);
+        for (std::size_t b = 0; b < instance.batches.size(); ++b) {
+          const double ready = instance.ready[b];
+          for (const std::size_t r : instance.batches[b]) {
+            const std::size_t got =
+                production->select_machine(p, r, ready, schedule);
+            const std::size_t want = reference(p, r, ready, schedule);
+            ++decisions;
+            ASSERT_EQ(got, want)
+                << c.name << " on family " << family.name << ", request " << r
+                << "\n  replay: seed " << seed << " (draw_instance("
+                << family.name << ", " << seed << "))";
+            commit_assignment(p, r, got, ready, schedule);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(decisions, kSeedsPerCase);
 }
 
 }  // namespace

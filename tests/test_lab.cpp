@@ -1,6 +1,7 @@
 // Lab sweep engine: grid expansion, seed derivation, parallel determinism,
-// fault containment and retry, checkpoint/resume, the result cache,
-// manifest round-trips, and baseline comparison gates.
+// fault containment and retry, checkpoint/resume (including the journal
+// record-selection rules and the build guard), manifest round-trips, and
+// baseline comparison gates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,6 @@
 
 #include "common/error.hpp"
 #include "common/fs.hpp"
-#include "lab/cache.hpp"
 #include "lab/catalog.hpp"
 #include "lab/engine.hpp"
 #include "lab/journal.hpp"
@@ -145,60 +145,6 @@ TEST(EngineTest, SeedAndReplicationOverridesChangeTheSpecHash) {
   EXPECT_EQ(overridden.seed, 7u);
   EXPECT_EQ(overridden.replications, 2u);
   EXPECT_EQ(overridden.cells[0].replications, 2u);
-}
-
-TEST(CacheTest, SecondRunHitsAndMatchesByteForByte) {
-  const SweepSpec spec = tiny_spec();
-  EngineOptions options;
-  options.cache_dir = temp_dir("hit");
-  const SweepRun first = run_sweep(spec, options);
-  EXPECT_EQ(first.cache_hits, 0u);
-  EXPECT_EQ(first.units_run, 24u);
-  const SweepRun second = run_sweep(spec, options);
-  EXPECT_EQ(second.cache_hits, 6u);
-  EXPECT_EQ(second.units_run, 0u);
-  EXPECT_EQ(to_json(first.manifest), to_json(second.manifest));
-}
-
-TEST(CacheTest, SpecEditsInvalidateTheCache) {
-  SweepSpec spec = tiny_spec();
-  EngineOptions options;
-  options.cache_dir = temp_dir("invalidate");
-  (void)run_sweep(spec, options);
-
-  // A version bump misses every cell.
-  spec.version = "2";
-  EXPECT_EQ(run_sweep(spec, options).cache_hits, 0u);
-
-  // A seed override misses too (the key folds the effective seed).
-  spec = tiny_spec();
-  EngineOptions reseeded = options;
-  reseeded.seed = 1234;
-  EXPECT_EQ(run_sweep(spec, reseeded).cache_hits, 0u);
-
-  // Adding an axis value re-runs only the new cells.
-  spec = tiny_spec();
-  spec.axes[0].values.push_back(4);
-  const SweepRun grown = run_sweep(spec, options);
-  EXPECT_EQ(grown.cache_hits, 6u);
-  EXPECT_EQ(grown.units_run, 2u * 4u);  // the two new alpha=4 cells
-}
-
-TEST(CacheTest, CorruptEntryIsAMiss) {
-  const SweepSpec spec = tiny_spec();
-  EngineOptions options;
-  options.cache_dir = temp_dir("corrupt");
-  (void)run_sweep(spec, options);
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.cache_dir)) {
-    std::FILE* f = std::fopen(entry.path().c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{not json", f);
-    std::fclose(f);
-  }
-  const SweepRun rerun = run_sweep(spec, options);
-  EXPECT_EQ(rerun.cache_hits, 0u);
-  EXPECT_EQ(rerun.units_run, 24u);
 }
 
 TEST(ManifestTest, RoundTripsThroughJsonByteForByte) {
@@ -376,17 +322,6 @@ TEST(ContainmentTest, ExceededBudgetRethrows) {
   options.failure_budget_pct = 5.0;  // 2/24 units ≈ 8.3% > 5%
   EXPECT_THROW((void)run_sweep(failing_spec({0}), options),
                PreconditionError);
-}
-
-TEST(ContainmentTest, FailedCellsAreNeverCached) {
-  EngineOptions options;
-  options.failure_budget_pct = 50.0;
-  options.cache_dir = temp_dir("failed_cells");
-  (void)run_sweep(failing_spec({0}), options);
-  const SweepRun second = run_sweep(failing_spec({0}), options);
-  EXPECT_EQ(second.cache_hits, 4u);      // only the healthy cells
-  EXPECT_EQ(second.units_run, 2u * 4u);  // both failed cells re-run whole
-  EXPECT_EQ(second.manifest.outcome, RunOutcome::kPartial);
 }
 
 TEST(RetryTest, ExhaustionRecordsAttemptsAndDowngradesToPartial) {
@@ -676,19 +611,139 @@ TEST(JournalTest, FailedCellsRerunOnResume) {
   options.journal_path = journal_path;
   const SweepRun partial = run_sweep(failing_spec({0}), options);
   EXPECT_EQ(partial.manifest.outcome, RunOutcome::kPartial);
-  // Journal records only the four healthy cells.
-  EXPECT_EQ(load_journal(journal_path)->cells.size(), 4u);
+  // The journal records every finalized cell: four ok, two failed.
+  const Journal recorded = *load_journal(journal_path);
+  std::size_t failed_records = 0;
+  for (const ManifestCell& cell : recorded.cells) {
+    if (cell.status == CellStatus::kFailed) ++failed_records;
+  }
+  EXPECT_EQ(recorded.cells.size(), 6u);
+  EXPECT_EQ(failed_records, 2u);
 
   // Resuming with a fixed runner completes the sweep bit-identically to a
   // clean run of that fixed spec.
   SweepSpec fixed = failing_spec({});  // same grid/hash inputs, no failures
   EngineOptions resume_options;
   resume_options.resume_journal = journal_path;
+  resume_options.journal_path = journal_path;  // as the CLI's --resume does
   const SweepRun resumed = run_sweep(fixed, resume_options);
   EXPECT_EQ(resumed.cells_resumed, 4u);
   EXPECT_EQ(resumed.units_run, 8u);
   EXPECT_EQ(resumed.manifest.outcome, RunOutcome::kComplete);
   EXPECT_EQ(to_json(resumed.manifest), to_json(run_sweep(fixed).manifest));
+  // The re-run's ok records replaced the failed ones, one record per cell.
+  const std::vector<ManifestCell> rewritten =
+      load_journal(journal_path)->cells;
+  EXPECT_EQ(rewritten.size(), 6u);
+  for (const ManifestCell& cell : rewritten) {
+    EXPECT_EQ(cell.status, CellStatus::kOk) << cell.index;
+  }
+}
+
+TEST(JournalTest, FailedRecordStaysUntilTheRerunReplacesIt) {
+  // An interrupted resume keeps the old failed record of a cell it has not
+  // re-run yet, so the next resume (or a shard merge) still sees it.
+  const std::string dir = temp_dir("resume_failed_kept");
+  std::filesystem::create_directories(dir);
+  const std::string journal_path = dir + "/sweep.journal";
+  EngineOptions options;
+  options.failure_budget_pct = 50.0;
+  options.journal_path = journal_path;
+  (void)run_sweep(failing_spec({0}), options);
+
+  std::atomic<bool> cancel{true};  // nothing new runs
+  EngineOptions resume_options;
+  resume_options.failure_budget_pct = 50.0;
+  resume_options.resume_journal = journal_path;
+  resume_options.journal_path = journal_path;
+  resume_options.cancel = &cancel;
+  const SweepRun drained = run_sweep(failing_spec({0}), resume_options);
+  EXPECT_EQ(drained.cells_resumed, 4u);
+  EXPECT_EQ(drained.units_run, 0u);
+  const Journal kept = *load_journal(journal_path);
+  ASSERT_EQ(kept.cells.size(), 6u);
+  std::size_t failed_records = 0;
+  for (const ManifestCell& cell : kept.cells) {
+    if (cell.status == CellStatus::kFailed) ++failed_records;
+  }
+  EXPECT_EQ(failed_records, 2u);
+}
+
+TEST(JournalTest, SelectCellRecordsKeepsOkAndOtherwiseTheLastRecord) {
+  const Manifest reference = run_sweep(tiny_spec()).manifest;
+  const std::vector<Cell> grid = tiny_spec().cells();
+  ManifestCell ok0 = reference.cells[0];
+  ManifestCell ok0_newer = ok0;
+  ok0_newer.metrics[0].second.mean += 1.0;
+  ManifestCell failed0 = ok0;
+  failed0.status = CellStatus::kFailed;
+  ManifestCell failed1 = reference.cells[1];
+  failed1.status = CellStatus::kFailed;
+  ManifestCell failed1_newer = failed1;
+  failed1_newer.metrics[0].second.mean += 2.0;
+  ManifestCell out_of_range = reference.cells[2];
+  out_of_range.index = grid.size();
+  ManifestCell mismatched = reference.cells[3];
+  mismatched.index = 4;  // cell 3's param_hash claimed for cell 4
+
+  Journal first;
+  first.cells = {ok0, failed0, failed1, out_of_range};
+  Journal second;
+  second.cells = {ok0_newer, failed0, failed1_newer, mismatched};
+  const std::vector<Journal> journals = {first, second};
+  const std::vector<const ManifestCell*> picked =
+      select_cell_records(grid, journals);
+  ASSERT_EQ(picked.size(), grid.size());
+  ASSERT_NE(picked[0], nullptr);  // ok never demoted; the last ok wins
+  EXPECT_EQ(picked[0]->status, CellStatus::kOk);
+  EXPECT_EQ(picked[0]->metrics[0].second.mean,
+            ok0_newer.metrics[0].second.mean);
+  ASSERT_NE(picked[1], nullptr);  // failed vs failed: the last one wins
+  EXPECT_EQ(picked[1]->metrics[0].second.mean,
+            failed1_newer.metrics[0].second.mean);
+  EXPECT_EQ(picked[2], nullptr);
+  EXPECT_EQ(picked[3], nullptr);
+  EXPECT_EQ(picked[4], nullptr);  // the mismatched record is dropped
+  EXPECT_EQ(picked[5], nullptr);
+}
+
+TEST(JournalTest, AnotherBuildsJournalResumesNothing) {
+  // A journal written by another binary may hold stale cells: resume treats
+  // it as missing, runs the full sweep, and overwrites it.
+  const std::string dir = temp_dir("resume_other_build");
+  std::filesystem::create_directories(dir);
+  const std::string journal_path = dir + "/sweep.journal";
+  EngineOptions options;
+  options.jobs = 1;
+  options.journal_path = journal_path;
+  const std::string fresh = to_json(run_sweep(tiny_spec(), options).manifest);
+  Journal journal = parse_journal(read_file(journal_path));
+  ASSERT_EQ(journal.build, build_id());
+  ASSERT_EQ(journal.cells.size(), 6u);
+  for (ManifestCell& cell : journal.cells) cell.metrics[0].second.mean += 1.0;
+
+  for (const std::string& other : {std::string("0123456789abcdef"),
+                                   std::string()}) {
+    journal.build = other;  // empty: a header without the field
+    std::string text = journal_to_jsonl(journal);
+    if (other.empty()) {
+      const std::string field = ",\"build\":\"\"";
+      text.erase(text.find(field), field.size());
+    }
+    atomic_write_file(journal_path, text);
+    EXPECT_FALSE(load_journal(journal_path).has_value());
+
+    EngineOptions resume_options;
+    resume_options.jobs = 1;
+    resume_options.resume_journal = journal_path;
+    resume_options.journal_path = journal_path;
+    const SweepRun resumed = run_sweep(tiny_spec(), resume_options);
+    EXPECT_EQ(resumed.cells_resumed, 0u);
+    EXPECT_EQ(resumed.units_run, 24u);
+    EXPECT_EQ(to_json(resumed.manifest), fresh);
+    ASSERT_TRUE(load_journal(journal_path).has_value());
+    EXPECT_EQ(load_journal(journal_path)->build, build_id());
+  }
 }
 
 // ------------------------------------------------ v2 schema / atomic write
@@ -742,32 +797,6 @@ TEST(ManifestV2Test, StatusMismatchIsACompareViolation) {
     if (v.what.find("status failed") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found);
-}
-
-TEST(CacheTest, CorruptEntryIsEvictedAndCounted) {
-  const SweepSpec spec = tiny_spec();
-  EngineOptions options;
-  options.cache_dir = temp_dir("evict");
-  (void)run_sweep(spec, options);
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.cache_dir)) {
-    std::FILE* f = std::fopen(entry.path().c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{torn", f);
-    std::fclose(f);
-  }
-
-  obs::MetricsRegistry registry;
-  obs::install(&registry);
-  const SweepRun rerun = run_sweep(spec, options);
-  const obs::Snapshot snap = registry.snapshot();
-  obs::install(nullptr);
-
-  EXPECT_EQ(rerun.cache_hits, 0u);
-  EXPECT_EQ(snap.counters.at("lab.cache_corrupt_evictions"), 6.0);
-  // Eviction deleted the corrupt files; the rerun then re-stored clean
-  // entries, so a third run hits everything.
-  EXPECT_EQ(run_sweep(spec, options).cache_hits, 6u);
 }
 
 TEST(AtomicWriteTest, TornWriterSimulationNeverExposesAPartialManifest) {

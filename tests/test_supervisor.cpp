@@ -1,8 +1,8 @@
 // Crash-tolerant shard supervisor: the subprocess primitives (frames,
 // classified exits, poll multiplexing) and the supervisor itself —
 // byte-identical merges across worker counts, SIGKILL recovery via shard
-// journals, heartbeat-timeout and nonzero-exit triage, and the
-// deterministic shard-merge precedence rules.
+// journals (failed cells included), heartbeat-timeout and nonzero-exit
+// triage, and the deterministic shard-merge precedence rules.
 //
 // Deliberately ThreadPool-free: these tests fork, and forking a process
 // that owns sanitizer-instrumented threads is undefined under TSan.
@@ -50,6 +50,22 @@ SweepSpec tiny_spec() {
   };
   spec.finalize = [](const Cell& cell, AggregateSet& aggregate) {
     aggregate.set_derived("alpha_echo", cell.number("alpha"));
+  };
+  return spec;
+}
+
+/// tiny_spec whose cell 0 (alpha=1, mode=fast; worker 0's first cell under
+/// round-robin sharding) fails deterministically on replication 0.
+SweepSpec failing_cell_spec() {
+  SweepSpec spec = tiny_spec();
+  spec.name = "tiny_failing";
+  const auto inner = spec.run;
+  spec.run = [inner](const Cell& cell, std::uint64_t rep_seed) {
+    if (cell.index == 0 &&
+        rep_seed == derive_rep_seed(99, cell_param_hash(cell), 0)) {
+      throw PreconditionError("synthetic failure in " + cell.label());
+    }
+    return inner(cell, rep_seed);
   };
   return spec;
 }
@@ -254,6 +270,41 @@ TEST(SupervisorTest, SigkilledWorkerResumesFromItsShardJournalByteIdentical) {
   EXPECT_EQ(run.counters.cells_reassigned, 1u);
 }
 
+TEST(SupervisorTest, FailedCellsReachTheMergeThroughShardJournals) {
+  // Failed cells travel only through the shard journals: the supervised
+  // manifest must match the single-process one, failure records included,
+  // also when the worker owning the failing cell is SIGKILLed right after
+  // journaling it (after_cells 1) or one cell later (after_cells 2).
+  const SweepSpec spec = failing_cell_spec();
+  EngineOptions engine;
+  engine.jobs = 1;
+  engine.failure_budget_pct = 50.0;
+  const Manifest reference = run_sweep(spec, engine).manifest;
+  ASSERT_EQ(reference.outcome, RunOutcome::kPartial);
+  ASSERT_EQ(reference.cells[0].status, CellStatus::kFailed);
+
+  for (const std::size_t kill_after : {std::size_t{0}, std::size_t{1},
+                                       std::size_t{2}}) {
+    SupervisorOptions sup;
+    sup.workers = 2;
+    sup.shard_dir = temp_dir("failed_cells_" + std::to_string(kill_after));
+    sup.respawn_backoff.backoff_initial_ms = 1;
+    if (kill_after > 0) {
+      chaos::WorkerFaultPlan plan;
+      plan.worker = 0;  // owns cells 0, 2, 4
+      plan.after_cells = kill_after;
+      plan.signal = SIGKILL;
+      plan.incarnations = 1;
+      sup.fault_plans.push_back(plan);
+    }
+    const SupervisorRun run = run_supervised(spec, engine, sup);
+    EXPECT_EQ(to_json(run.manifest), to_json(reference))
+        << "kill after " << kill_after;
+    EXPECT_EQ(run.cells_failed, 1u);
+    EXPECT_EQ(run.counters.workers_lost, kill_after > 0 ? 1u : 0u);
+  }
+}
+
 TEST(SupervisorTest, HeartbeatTimeoutTriagesAHungWorker) {
   // Cell 5 (alpha=3 mode=slow, owned by worker 2) hangs forever; every
   // other cell is instant.  With respawns disabled the supervisor must
@@ -403,23 +454,31 @@ TEST(SupervisorTest, MergePrefersOkRecordsAndLastInputWins) {
   failure.error_class = ErrorClass::kUnknown;
   failure.message = "stale incarnation";
   failed0.failures.push_back(failure);
+  ManifestCell failed1 = reference.cells[1];
+  failed1.status = CellStatus::kFailed;
+  failed1.failures.push_back(failure);
 
   // Two shards journaled the same cell hash (a reassigned cell computed by
   // both the dead incarnation and its replacement): the later journal wins,
-  // and a stale failed record can never demote the ok one.
+  // and a failed record — even in the last journal — can never demote the
+  // ok one.  A cell with only a failed record keeps it.
   Journal first = header();
   first.cells = {failed0, ok0};
   Journal second = header();
   second.cells = {ok0_newer};
-  const ShardMerge merge = merge_shards(spec, reference.seed,
-                                        reference.replications,
-                                        {first, second}, {failed0});
+  Journal third = header();
+  third.cells = {failed0, failed1};
+  const ShardMerge merge =
+      merge_shards(spec, reference.seed, reference.replications,
+                   {first, second, third});
   EXPECT_EQ(merge.manifest.cells[0].status, CellStatus::kOk);
   EXPECT_EQ(merge.manifest.cells[0].metrics[0].second.mean,
             ok0_newer.metrics[0].second.mean);
   EXPECT_TRUE(merge.manifest.cells[0].failures.empty());
+  EXPECT_EQ(merge.manifest.cells[1].status, CellStatus::kFailed);
+  EXPECT_EQ(merge.units_failed, 1u);
   // Every other grid cell is missing and marked skipped with identity.
-  EXPECT_EQ(merge.missing.size(), 5u);
+  EXPECT_EQ(merge.missing.size(), 4u);
   EXPECT_EQ(merge.manifest.cells[3].status, CellStatus::kSkipped);
   EXPECT_EQ(merge.manifest.cells[3].param_hash, reference.cells[3].param_hash);
 }
@@ -437,14 +496,19 @@ TEST(SupervisorTest, MergeDropsForeignJournalsAndForeignCells) {
   foreign.replications = reference.replications;
   foreign.cells = {reference.cells[1]};
 
-  // A streamed record whose param_hash does not match its claimed index
-  // (e.g. a journal replayed against an edited grid) must be dropped.
+  // A record whose param_hash does not match its claimed index (e.g. a
+  // journal replayed against an edited grid) must be dropped.
   ManifestCell mismatched = reference.cells[0];
   mismatched.index = 2;
+  Journal own;
+  own.spec = reference.spec;
+  own.spec_hash = reference.spec_hash;
+  own.seed = reference.seed;
+  own.replications = reference.replications;
+  own.cells = {mismatched};
 
-  const ShardMerge merge =
-      merge_shards(spec, reference.seed, reference.replications, {foreign},
-                   {mismatched});
+  const ShardMerge merge = merge_shards(spec, reference.seed,
+                                        reference.replications, {foreign, own});
   EXPECT_EQ(merge.missing.size(), 6u);
   for (const ManifestCell& cell : merge.manifest.cells) {
     EXPECT_EQ(cell.status, CellStatus::kSkipped);
