@@ -5,9 +5,9 @@ Usage: gt_lint.py [FILE ...] [--changed [BASE]] [--baseline FILE]
                   [--update-baseline] [--self-test] [--list-rules]
 
 The lab engine's headline guarantee — manifests bit-identical across
-`--jobs 1/4/8` and across SIGKILL+`--resume` — rests on invariants no
-compiler checks.  This analyzer enforces them mechanically (stdlib-only, same
-dependency posture as check_markdown_links.py):
+`--jobs 1/4/8` and across SIGKILL + a `--journal` re-run — rests on
+invariants no compiler checks.  This analyzer enforces them mechanically
+(stdlib-only, same dependency posture as check_markdown_links.py):
 
   GT001  banned nondeterminism sources: std::rand / std::random_device /
          time( anywhere under src/; wall clocks (system_clock, steady_clock,

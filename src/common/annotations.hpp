@@ -1,13 +1,13 @@
 // Clang Thread Safety Analysis annotations, portable across compilers.
 //
 // The bit-identity guarantee (manifests identical at any --jobs, including
-// after SIGKILL + --resume) rests on locking discipline: every mutable
-// datum shared across pool workers is guarded by exactly one mutex, and
-// every access happens with that mutex held.  TSan can only confirm this
-// for schedules it happens to observe; Clang's Thread Safety Analysis
-// (-Wthread-safety) proves the lock/data association at compile time for
-// *all* schedules — provided the association is written down.  These
-// macros write it down.
+// after SIGKILL and a --journal re-run) rests on locking discipline: every
+// mutable datum shared across pool workers is guarded by exactly one
+// mutex, and every access happens with that mutex held.  TSan can only
+// confirm this for schedules it happens to observe; Clang's Thread Safety
+// Analysis (-Wthread-safety) proves the lock/data association at compile
+// time for *all* schedules — provided the association is written down.
+// These macros write it down.
 //
 // Usage (the full how-to lives in docs/static-analysis.md):
 //

@@ -1,8 +1,8 @@
 // Filesystem helpers shared by every layer that persists artifacts.
 //
-// The one that matters is atomic_write_file: manifests, result-cache
-// entries, checkpoint journals, and metrics dumps are all read back by
-// other processes (CI compare gates, --resume, cache hits), so a crash or
+// The one that matters is atomic_write_file: manifests, checkpoint
+// journals, and metrics dumps are all read back by other processes (CI
+// compare gates, --journal re-runs, shard merges), so a crash or
 // SIGKILL mid-write must never leave a torn file behind.  The helper writes
 // the full content to a sibling temp file, fsyncs it, and renames it over
 // the target — rename(2) is atomic on POSIX, so readers observe either the

@@ -1,7 +1,5 @@
 #include "common/log.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <iostream>
 
 #include "common/sync.hpp"
@@ -10,59 +8,14 @@ namespace gridtrust {
 
 namespace {
 
-std::atomic<int> g_level{-1};  // -1 = uninitialized
-
-LogLevel level_from_env() {
-  // Read once before any pool thread exists; mt-unsafety cannot bite.
-  const char* env = std::getenv("GRIDTRUST_LOG");  // NOLINT(concurrency-mt-unsafe)
-  if (env == nullptr) return LogLevel::kOff;
-  const std::string v(env);
-  if (v == "debug") return LogLevel::kDebug;
-  if (v == "info") return LogLevel::kInfo;
-  if (v == "warn") return LogLevel::kWarn;
-  if (v == "error") return LogLevel::kError;
-  return LogLevel::kOff;
-}
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-
 // Serializes whole lines onto stderr; guards the stream, not data.
 Mutex g_io_mutex;
 
 }  // namespace
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  int v = g_level.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const LogLevel init = level_from_env();
-    g_level.store(static_cast<int>(init), std::memory_order_relaxed);
-    return init;
-  }
-  return static_cast<LogLevel>(v);
-}
-
-void log_message(LogLevel level, const std::string& message) {
-  if (level < log_level()) return;
+void log_message(const std::string& message) {
   const MutexLock lock(&g_io_mutex);
-  std::cerr << "[gridtrust " << level_name(level) << "] " << message << "\n";
+  std::cerr << "[gridtrust WARN] " << message << "\n";
 }
 
 }  // namespace gridtrust

@@ -1,25 +1,18 @@
-// Lightweight leveled logging.
+// Warnings on stderr.
 //
-// Off by default so bench output stays exactly the reproduced tables; enable
-// with gridtrust::set_log_level(LogLevel::kDebug) or GRIDTRUST_LOG=debug.
+// The only log surface: the lab reports ignored journals, dropped records
+// and lost workers here.  Bench output stays exactly the reproduced tables
+// because warnings go to stderr, never stdout.
 #pragma once
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace gridtrust {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Sets the global threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-
-/// Current threshold (initialized from the GRIDTRUST_LOG environment
-/// variable on first use: debug|info|warn|error|off).
-LogLevel log_level();
-
-/// Emits one line to stderr if `level` passes the threshold.
-void log_message(LogLevel level, const std::string& message);
+/// Emits one "[gridtrust WARN] <message>" line to stderr.
+void log_message(const std::string& message);
 
 namespace detail {
 template <typename... Args>
@@ -31,27 +24,8 @@ std::string concat(Args&&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(Args&&... args) {
-  if (log_level() <= LogLevel::kDebug)
-    log_message(LogLevel::kDebug, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void log_info(Args&&... args) {
-  if (log_level() <= LogLevel::kInfo)
-    log_message(LogLevel::kInfo, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
 void log_warn(Args&&... args) {
-  if (log_level() <= LogLevel::kWarn)
-    log_message(LogLevel::kWarn, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void log_error(Args&&... args) {
-  if (log_level() <= LogLevel::kError)
-    log_message(LogLevel::kError, detail::concat(std::forward<Args>(args)...));
+  log_message(detail::concat(std::forward<Args>(args)...));
 }
 
 }  // namespace gridtrust

@@ -1,12 +1,12 @@
 #include "common/retry.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <new>
 #include <system_error>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace gridtrust {
 
@@ -120,21 +120,6 @@ std::uint64_t RetryPolicy::backoff_ms(std::size_t retry_index,
                  std::pow(backoff_factor, static_cast<double>(retry_index - 1));
   delay = std::min(delay, static_cast<double>(backoff_max_ms));
   return static_cast<std::uint64_t>(delay);
-}
-
-std::uint64_t RetryPolicy::backoff_ms(std::size_t retry_index,
-                                      ErrorClass error_class,
-                                      std::uint64_t seed) const {
-  const std::uint64_t base = backoff_ms(retry_index, error_class);
-  if (base == 0 || jitter_frac <= 0.0) return base;
-  // Fold the attempt number into the stream so consecutive retries of the
-  // same unit don't reuse one jitter draw.
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * retry_index);
-  const double unit =
-      static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;  // [0, 1)
-  const double frac = std::min(std::max(jitter_frac, 0.0), 1.0);
-  const double scaled = static_cast<double>(base) * (1.0 - frac * unit);
-  return static_cast<std::uint64_t>(scaled);
 }
 
 }  // namespace gridtrust

@@ -1,12 +1,10 @@
-// Retry policy with error classification and exponential backoff.
+// Error classification and the exponential backoff schedule.
 //
-// The lab sweep engine re-runs failed (cell, replication) units with their
-// original seed, so a retry of a deterministic bug fails identically while
-// a transient failure (allocation pressure, a faulted I/O path) gets fresh
-// attempts.  Classification decides whether a backoff sleep is worth it:
-// resource/system errors are transient (backoff between attempts), logic
-// and precondition errors are deterministic (retried immediately, since
-// sleeping cannot change a pure function's outcome).
+// The lab sweep engine records every failed (cell, replication) unit with
+// its error class, and the shard supervisor triages dead workers by the
+// same taxonomy: resource/system errors are transient (a respawned worker
+// may succeed, after a backoff), logic and precondition errors are
+// deterministic (a pure function fails identically, so nothing re-runs).
 #pragma once
 
 #include <cstddef>
@@ -21,7 +19,7 @@ enum class ErrorClass {
   kPrecondition,  ///< gridtrust::PreconditionError — bad input, deterministic
   kInvariant,     ///< gridtrust::InvariantError — a library bug, deterministic
   kResource,      ///< bad_alloc / system_error — transient under load
-  kTimeout,       ///< a unit overran its wall-clock deadline
+  kTimeout,       ///< ETIMEDOUT, or a worker that missed its heartbeats
   kUnknown,       ///< any other std::exception (or a non-exception throw)
 };
 
@@ -32,8 +30,8 @@ ErrorClass classify_error(const std::exception_ptr& error) noexcept;
 /// Classifies a raw errno value: exhaustion errnos (ENOSPC, EMFILE, ENFILE,
 /// EAGAIN, ENOMEM, EINTR) are `resource`, ETIMEDOUT is `timeout`, anything
 /// else is `unknown`.  classify_error applies this to std::system_error
-/// codes so an fsync that hits a full disk retries instead of failing the
-/// unit outright.  Never throws.
+/// codes so an fsync that hits a full disk triages as transient.  Never
+/// throws.
 ErrorClass classify_errno(int err) noexcept;
 
 /// Extracts what() from a caught exception ("<non-standard exception>"
@@ -46,36 +44,22 @@ std::string to_string(ErrorClass error_class);
 ErrorClass parse_error_class(const std::string& text);
 
 /// True for classes where re-running the same pure computation can
-/// plausibly succeed (so backoff between attempts is worthwhile).
+/// plausibly succeed (so a respawn after a backoff is worthwhile).
 bool is_transient(ErrorClass error_class);
 
-/// How failed units are retried.  The defaults retry nothing (one attempt)
-/// so callers opt into fault tolerance explicitly.
+/// The backoff schedule between the shard supervisor's respawns of one
+/// worker slot.
 struct RetryPolicy {
-  /// Total attempts per unit, including the first (>= 1).
-  std::size_t max_attempts = 1;
   /// Backoff before retry k (1-based) of a *transient* failure:
   /// min(backoff_initial_ms * backoff_factor^(k-1), backoff_max_ms).
-  /// Deterministic failure classes retry without sleeping.
   std::uint64_t backoff_initial_ms = 10;
   double backoff_factor = 2.0;
   std::uint64_t backoff_max_ms = 2000;
-  /// Fraction of the delay randomized away to de-synchronize retry storms:
-  /// the seeded overload scales the schedule by a factor drawn uniformly
-  /// from [1 - jitter_frac, 1].  0 (the default) keeps the schedule exact.
-  double jitter_frac = 0.0;
 
   /// The backoff (milliseconds) to sleep before retry `retry_index`
   /// (1-based) of a failure of `error_class`; 0 for deterministic classes.
   std::uint64_t backoff_ms(std::size_t retry_index,
                            ErrorClass error_class) const;
-
-  /// Seeded overload: same schedule, scaled by deterministic jitter derived
-  /// from (seed, retry_index) via splitmix64 — the same unit retrying the
-  /// same attempt always sleeps the same amount, but distinct units (and
-  /// distinct attempts) spread out instead of thundering in lockstep.
-  std::uint64_t backoff_ms(std::size_t retry_index, ErrorClass error_class,
-                           std::uint64_t seed) const;
 };
 
 }  // namespace gridtrust

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/fs.hpp"
 #include "common/log.hpp"
+#include "common/retry.hpp"
 #include "common/stats.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
@@ -22,7 +23,6 @@ namespace {
 
 const obs::Counter kCellsRun("lab.cells_run");
 const obs::Counter kUnitsRun("lab.units_run");
-const obs::Counter kRetries("lab.retries");
 const obs::Counter kFailures("lab.failures");
 const obs::Histogram kUnitNs("lab.unit_ns", obs::duration_bounds_ns());
 
@@ -92,8 +92,6 @@ Manifest manifest_header(const SweepSpec& spec, std::uint64_t seed,
 SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
   GT_REQUIRE(spec.run != nullptr,
              "spec \"" + spec.name + "\" has no runner");
-  GT_REQUIRE(options.retry.max_attempts >= 1,
-             "retry policy needs at least one attempt");
   // gt-lint: allow(GT001 wall_seconds is engine metadata, never exported)
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -139,7 +137,6 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
   journal.replications = replications;
   std::vector<std::size_t> journal_slot(cells.size(), kNoSlot);
   const bool journaling = !options.journal_path.empty();
-  if (journaling) journal.build = build_id();
   const auto journal_record = [&](std::size_t i, ManifestCell record) {
     if (journal_slot[i] == kNoSlot) {
       journal_slot[i] = journal.cells.size();
@@ -149,23 +146,25 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
     }
   };
 
-  // Resume: re-anchor the previous run's records onto this grid
-  // (select_cell_records picks one per cell).  Only `ok` cells
-  // short-circuit; a failed record stays in the journal until this run's
-  // fresh record for that cell replaces it.
+  // Resume: a journal of this sweep written by this build re-anchors onto
+  // the grid (select_cell_records picks one record per cell).  Only `ok`
+  // cells short-circuit; a failed record stays in the journal until this
+  // run's fresh record for that cell replaces it.  Any other journal is
+  // ignored and overwritten below; load_journal throws, before anything is
+  // written, when the file's header does not parse.
   std::vector<char> done(cells.size(), 0);
-  if (!options.resume_journal.empty()) {
+  if (journaling) {
+    journal.build = build_id();
     std::vector<Journal> previous;
-    if (std::optional<Journal> loaded = load_journal(options.resume_journal)) {
-      GT_REQUIRE(loaded->spec_hash == run.manifest.spec_hash,
-                 "resume journal \"" + options.resume_journal +
-                     "\" records spec " + loaded->spec + "/" +
-                     loaded->spec_hash + ", not this sweep (" + spec.name +
-                     "/" + run.manifest.spec_hash + ")");
-      previous.push_back(std::move(*loaded));
-    } else {
-      log_warn("no usable resume journal at ", options.resume_journal,
-               "; running the full sweep");
+    if (std::optional<Journal> loaded = load_journal(options.journal_path)) {
+      if (loaded->spec_hash == run.manifest.spec_hash) {
+        previous.push_back(std::move(*loaded));
+      } else {
+        log_warn("journal ", options.journal_path, " records spec ",
+                 loaded->spec, "/", loaded->spec_hash, ", not this sweep (",
+                 spec.name, "/", run.manifest.spec_hash,
+                 "); ignoring its cells");
+      }
     }
     const std::vector<const ManifestCell*> picked =
         select_cell_records(cells, previous);
@@ -192,9 +191,8 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
 
   // Fan out (cell, replication) units over the pool; every unit owns a
   // preallocated slot, so execution order cannot affect the results.  Each
-  // unit is fault-contained: a throw from the runner is retried per the
-  // policy (same derived seed — determinism preserved) and recorded as a
-  // structured UnitFailure on exhaustion instead of aborting the sweep.
+  // unit runs once and is fault-contained: a throw from the runner is
+  // recorded as a structured UnitFailure instead of aborting the sweep.
   const std::size_t units = missing.size() * replications;
   std::vector<obs::RunReport> reports(units);
   std::vector<UnitState> unit_states(units, UnitState::kNotRun);
@@ -203,10 +201,9 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
   // Counts tracked atomically because workers update them concurrently.
   std::atomic<std::size_t> units_run{0};
   std::atomic<std::size_t> units_failed{0};
-  std::atomic<std::size_t> units_retried{0};
 
   // With the zero failure budget the contract is "rethrow the first
-  // failure": keep the exhausted exception with the lowest unit index so
+  // failure": keep the failed unit's exception with the lowest index so
   // the choice is deterministic under any worker interleaving.
   FirstErrorSlot first_error;
 
@@ -288,70 +285,26 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
     kUnitsRun.add();
     units_run.fetch_add(1, std::memory_order_relaxed);
 
-    std::exception_ptr last_error;
-    ErrorClass last_class = ErrorClass::kUnknown;
-    std::size_t attempts = 0;
-    for (; attempts < options.retry.max_attempts; ++attempts) {
-      if (attempts > 0 && options.cancel != nullptr &&
-          options.cancel->load(std::memory_order_relaxed)) {
-        // Interrupted mid-retry: leave the unit kNotRun (no countdown
-        // decrement) so its cell is marked skipped and re-runs on resume.
-        return;
+    try {
+      obs::ScopedTimer timer(kUnitNs);
+      if (options.unit_sleep_ms > 0) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(options.unit_sleep_ms));
       }
-      if (attempts > 0) {
-        kRetries.add();
-        units_retried.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t backoff =
-            options.retry.backoff_ms(attempts, last_class, rep_seed);
-        if (backoff > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-        }
-      }
-      // gt-lint: allow(GT001 unit deadlines measure real elapsed time)
-      const auto attempt_start = std::chrono::steady_clock::now();
-      try {
-        obs::ScopedTimer timer(kUnitNs);
-        if (options.unit_sleep_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(options.unit_sleep_ms));
-        }
-        obs::RunReport report = spec.run(cell, rep_seed);
-        if (options.unit_deadline_seconds > 0.0) {
-          const double elapsed =
-              // gt-lint: allow(GT001 deadline check against wall time only)
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            attempt_start)
-                  .count();
-          if (elapsed > options.unit_deadline_seconds) {
-            last_error = std::make_exception_ptr(std::runtime_error(
-                "unit overran its deadline (" + std::to_string(elapsed) +
-                " s > " + std::to_string(options.unit_deadline_seconds) +
-                " s)"));
-            last_class = ErrorClass::kTimeout;
-            continue;  // result discarded; retried like any transient
-          }
-        }
-        reports[unit] = std::move(report);
-        unit_states[unit] = UnitState::kOk;
-        break;
-      } catch (...) {
-        last_error = std::current_exception();
-        last_class = classify_error(last_error);
-      }
-    }
-
-    if (unit_states[unit] != UnitState::kOk) {
+      reports[unit] = spec.run(cell, rep_seed);
+      unit_states[unit] = UnitState::kOk;
+    } catch (...) {
+      const std::exception_ptr error = std::current_exception();
       UnitFailure failure;
       failure.rep = rep;
       failure.seed = rep_seed;
-      failure.error_class = last_class;
-      failure.message = describe_error(last_error);
-      failure.attempts = attempts;
+      failure.error_class = classify_error(error);
+      failure.message = describe_error(error);
       unit_failures[unit] = std::move(failure);
       unit_states[unit] = UnitState::kFailed;
       units_failed.fetch_add(1, std::memory_order_relaxed);
       kFailures.add();
-      first_error.note(unit, last_error);
+      first_error.note(unit, error);
     }
 
     // acq_rel: the finalizing (last) decrementer must observe every other
@@ -377,7 +330,6 @@ SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options) {
 
   run.units_run = units_run.load();
   run.units_failed = units_failed.load();
-  run.units_retried = units_retried.load();
 
   // Cells whose countdown never hit zero were cut short by cancellation:
   // mark them skipped (partial replications are never aggregated, so a

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/retry.hpp"
 #include "lab/manifest.hpp"
 #include "lab/spec.hpp"
 
@@ -26,9 +25,7 @@ namespace gridtrust::lab {
 
 /// Execution knobs.  None of these can change the *numbers* — they decide
 /// how failures, crashes, and interruptions are handled around the pure
-/// (cell, rep_seed) computation.  (`unit_deadline_seconds` is the one
-/// documented exception: it gates on wall clock, so enabling it trades
-/// bit-determinism for hang containment.)
+/// (cell, rep_seed) computation.
 struct EngineOptions {
   /// Worker threads: 1 = serial in the calling thread, N >= 2 = a pool of N,
   /// 0 = the process-wide ThreadPool::shared() sized to the hardware.
@@ -37,30 +34,22 @@ struct EngineOptions {
   std::optional<std::uint64_t> seed;
   std::optional<std::size_t> replications;
 
-  /// Per-unit retry policy.  Failed units re-run with their original
-  /// derived seed (determinism preserved); transient classes (resource,
-  /// timeout, unknown) back off exponentially between attempts.
-  RetryPolicy retry;
-  /// Percentage of the sweep's (cell, replication) units allowed to
-  /// exhaust retries before the run aborts.  0 (default) keeps the
-  /// historical strict contract: the first exhausted unit's exception is
-  /// rethrown (after every other unit has been attempted).  > 0 downgrades
-  /// a within-budget run to outcome `partial` instead of throwing.
+  /// Percentage of the sweep's (cell, replication) units allowed to fail
+  /// before the run aborts.  Each unit runs once; a failed cell is
+  /// journaled and re-runs on the next run with the same journal.  0
+  /// (default) keeps the historical strict contract: the first failed
+  /// unit's exception is rethrown (after every other unit has been
+  /// attempted).  > 0 downgrades a within-budget run to outcome `partial`
+  /// instead of throwing.
   double failure_budget_pct = 0.0;
-  /// Checkpoint journal path: every finalized cell, ok or failed, is
-  /// flushed here via atomic write-temp-then-rename as it finishes.  Empty
-  /// disables.
+  /// Checkpoint journal path: the one recovery path for finished cells.
+  /// If the file holds a journal of this sweep (spec hash) written by this
+  /// build, its `ok` cells re-load and only the remainder runs; a journal
+  /// of another sweep or build is ignored with a warning.  Then every
+  /// finalized cell, ok or failed, is flushed here via atomic
+  /// write-temp-then-rename as it finishes.  A file whose header does not
+  /// parse throws PreconditionError and is left untouched.  Empty disables.
   std::string journal_path;
-  /// Journal to resume from: completed `ok` cells re-load (guarded by the
-  /// spec content hash) and only the remainder runs.  A missing file, or
-  /// one written by another build, is treated as an empty journal.  Failed
-  /// cells in the journal re-run.
-  std::string resume_journal;
-  /// Per-unit wall-clock deadline in seconds; a unit whose attempt overruns
-  /// is recorded as a `timeout` failure (its result is discarded) instead
-  /// of silently stalling the sweep.  0 disables.  Wall-clock gated, so
-  /// enabling it forfeits bit-determinism on overrun.
-  double unit_deadline_seconds = 0.0;
   /// Cooperative cancellation (the CLI points this at its signal flag).
   /// Once set, no new unit starts; in-flight units drain, fully-finished
   /// cells are journaled, the rest are marked `skipped`, and the manifest
@@ -80,7 +69,7 @@ struct EngineOptions {
   /// engine's finalize lock; keep it cheap.  The supervisor's scripted
   /// worker faults count cells from here.
   std::function<void()> on_cell_complete;
-  /// Fired after every (cell, replication) unit attempt chain resolves —
+  /// Fired after every (cell, replication) unit finishes, ok or failed —
   /// the supervisor's workers derive heartbeats from this.
   std::function<void()> on_unit_complete;
 };
@@ -91,21 +80,20 @@ struct EngineOptions {
 struct SweepRun {
   Manifest manifest;
   std::size_t cells = 0;
-  std::size_t units_run = 0;  ///< (cell, replication) pairs computed fresh
-  std::size_t units_failed = 0;   ///< units that exhausted their retries
-  std::size_t units_retried = 0;  ///< extra attempts consumed by retries
+  std::size_t units_run = 0;     ///< (cell, replication) pairs computed fresh
+  std::size_t units_failed = 0;  ///< units whose runner threw
   std::size_t cells_failed = 0;
-  std::size_t cells_skipped = 0;   ///< never (fully) ran: interrupted
-  std::size_t cells_resumed = 0;   ///< re-loaded from the resume journal
+  std::size_t cells_skipped = 0;  ///< never (fully) ran: interrupted
+  std::size_t cells_resumed = 0;  ///< re-loaded from the journal
   double wall_seconds = 0.0;
 };
 
 /// Runs the sweep.  Throws PreconditionError on a spec without a runner,
-/// with an empty axis, or on a resume journal from a different sweep.
-/// Runner exceptions are contained per unit (see EngineOptions::retry /
-/// failure_budget_pct); with the default zero budget the first exhausted
-/// unit's exception is rethrown once every unit has been attempted, after
-/// the journal (if any) has been flushed.
+/// with an empty axis, or on a journal file whose header does not parse.
+/// Runner exceptions are contained per unit (see
+/// EngineOptions::failure_budget_pct); with the default zero budget the
+/// first failed unit's exception is rethrown once every unit has been
+/// attempted, after the journal (if any) has been flushed.
 SweepRun run_sweep(const SweepSpec& spec, const EngineOptions& options = {});
 
 /// The manifest header run_sweep would produce for (spec, seed,

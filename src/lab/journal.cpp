@@ -122,7 +122,12 @@ Journal parse_journal(const std::string& text) {
 
 std::optional<Journal> load_journal(const std::string& path) {
   if (!std::filesystem::exists(path)) return std::nullopt;
-  Journal journal = parse_journal(read_file(path));
+  Journal journal;
+  try {
+    journal = parse_journal(read_file(path));
+  } catch (const PreconditionError& e) {
+    throw PreconditionError(path + " is not a journal: " + e.what());
+  }
   if (journal.build.empty() || journal.build != build_id()) {
     log_warn("journal ", path, " was written by another build (",
              journal.build.empty() ? "unrecorded" : journal.build,

@@ -4,11 +4,12 @@
 // recorded in an in-memory journal which is flushed to disk through
 // gridtrust::atomic_write_file — so at any instant the on-disk file is a
 // complete, parseable record of some prefix of the finished work, even
-// across SIGKILL.  `--resume <journal>` loads it back, re-anchors the
-// completed cells onto the expanded grid (guarded by the spec content
-// hash, so a journal can never resume a different sweep), and runs only
-// the remainder; because each cell's results are a pure function of
-// (spec, seed), the resumed manifest is byte-identical to an
+// across SIGKILL.  A re-run with the same `--journal` loads it back,
+// re-anchors the completed cells onto the expanded grid (guarded by the
+// spec content hash and the build, so a journal can never resume a
+// different sweep or binary — such a journal is ignored and overwritten),
+// and runs only the remainder; because each cell's results are a pure
+// function of (spec, seed), the resumed manifest is byte-identical to an
 // uninterrupted run.  The supervisor merges its shard journals the same
 // way (select_cell_records is the one rule set for both).
 //
@@ -63,7 +64,8 @@ Journal parse_journal(const std::string& text);
 /// Loads and parses a journal file, or nullopt when the file does not
 /// exist (resume of a run that died before its first checkpoint) or was
 /// written by another build (warned: its cells may be stale, so it is
-/// treated as missing and the next run overwrites it).
+/// treated as missing and the next run overwrites it).  Throws
+/// PreconditionError, naming the path, when the header does not parse.
 std::optional<Journal> load_journal(const std::string& path);
 
 /// Picks each grid cell's record from `journals` (records in input order).

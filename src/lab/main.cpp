@@ -5,25 +5,25 @@
 //       documents each one).
 //   gridtrust_lab run <spec|suite>... [--jobs N] [--seed S]
 //       [--replications R] [--out PATH] [--csv]
-//       [--metrics-out PATH] [--retries N] [--failure-budget PCT]
-//       [--journal PATH] [--resume PATH] [--unit-deadline SECONDS]
+//       [--metrics-out PATH] [--failure-budget PCT] [--journal PATH]
 //       [--workers N] [--shard-dir DIR] [--heartbeat-timeout SECONDS]
 //       [--worker-respawns N] [--kill-worker K] [--kill-after-cells M]
 //       Runs the named sweeps on the engine.  --jobs 0 uses the shared
 //       hardware-sized pool; manifests are byte-identical for every --jobs
 //       value.  --out writes the manifest (a directory when several specs
-//       run).  Failed units retry (--retries) and downgrade the run to a
-//       partial manifest while within --failure-budget; --journal
-//       checkpoints finished cells crash-safely and --resume re-loads the
-//       completed ones (never from another build's journal).
-//       SIGINT/SIGTERM drain in-flight units, flush the journal and a
-//       partial manifest, and exit 130.
+//       run).  Each unit runs once; failed units downgrade the run to a
+//       partial manifest while within --failure-budget.  --journal
+//       checkpoints finished cells crash-safely; re-running with the same
+//       --journal re-loads its completed cells and re-runs the rest (a
+//       journal of another sweep or build is ignored with a warning and
+//       overwritten).  SIGINT/SIGTERM drain in-flight units, flush the
+//       journal and a partial manifest, and exit 130.
 //       --workers N > 0 switches to the crash-tolerant multi-process
-//       supervisor (docs/supervisor.md): cells shard across N forked
-//       workers journaling into --shard-dir, dead workers are triaged and
-//       respawned, and the merged manifest stays byte-identical to a
-//       --jobs 1 run.  --kill-worker/--kill-after-cells script a chaos
-//       worker suicide to drill the recovery path.
+//       supervisor (docs/supervisor.md): cells shard across at most N
+//       forked workers journaling into --shard-dir, dead workers are
+//       triaged and respawned, and the merged manifest stays
+//       byte-identical to a --jobs 1 run.  --kill-worker/--kill-after-cells
+//       script a chaos worker suicide to drill the recovery path.
 //   gridtrust_lab compare <manifest> <baseline> [--tolerance PCT]
 //       Gates a manifest against a committed baseline; exits 1 on any
 //       violated gate (CI uses this with baselines/).
@@ -93,9 +93,9 @@ int cmd_run_supervised(const std::vector<std::string>& resolved,
                        const CliParser& cli) {
   GT_REQUIRE(resolved.size() == 1,
              "--workers supervises one spec at a time; run suites without it");
-  GT_REQUIRE(options.journal_path.empty() && options.resume_journal.empty(),
-             "--workers is incompatible with --journal/--resume: each shard "
-             "owns a journal under --shard-dir");
+  GT_REQUIRE(options.journal_path.empty(),
+             "--workers is incompatible with --journal: each shard owns a "
+             "journal under --shard-dir");
   const lab::SweepSpec* spec = lab::find_spec(resolved.front());
   GT_REQUIRE(spec != nullptr, "unknown spec: " + resolved.front());
 
@@ -126,7 +126,7 @@ int cmd_run_supervised(const std::vector<std::string>& resolved,
   lab::RunSummary summary;
   summary.stats =
       "  " + std::to_string(run.cells) + " cells over " +
-      std::to_string(sup.workers) + " workers, " +
+      std::to_string(run.workers) + " workers, " +
       format_grouped(run.wall_seconds, 2) + " s wall\n  supervisor: " +
       std::to_string(run.counters.workers_spawned) + " spawned, " +
       std::to_string(run.counters.workers_lost) + " lost, " +
@@ -162,28 +162,18 @@ int cmd_run(const std::vector<std::string>& names, const CliParser& cli) {
         cli.get_int("replications"));
   }
 
-  // Fault tolerance: N retries = N + 1 attempts; the CLI default budget is
-  // fully tolerant (a long campaign should survive a sick cell), while
-  // library callers keep the strict zero-budget default.
-  const std::int64_t retries = cli.get_int("retries");
-  GT_REQUIRE(retries >= 0, "--retries must be >= 0");
-  options.retry.max_attempts = static_cast<std::size_t>(retries) + 1;
+  // Fault tolerance: the CLI default budget is fully tolerant (a long
+  // campaign should survive a sick cell, which re-runs from --journal),
+  // while library callers keep the strict zero-budget default.
   options.failure_budget_pct = cli.get_double("failure-budget");
   GT_REQUIRE(options.failure_budget_pct >= 0.0 &&
                  options.failure_budget_pct <= 100.0,
              "--failure-budget must be in [0, 100]");
-  options.unit_deadline_seconds = cli.get_double("unit-deadline");
   options.unit_sleep_ms =
       static_cast<std::uint64_t>(cli.get_int("unit-sleep-ms"));
   options.journal_path = cli.get_string("journal");
-  options.resume_journal = cli.get_string("resume");
-  if (!options.resume_journal.empty() && options.journal_path.empty()) {
-    // Resuming naturally continues checkpointing into the same journal.
-    options.journal_path = options.resume_journal;
-  }
-  GT_REQUIRE(resolved.size() == 1 || (options.journal_path.empty() &&
-                                      options.resume_journal.empty()),
-             "--journal/--resume track one spec; run suites without them");
+  GT_REQUIRE(resolved.size() == 1 || options.journal_path.empty(),
+             "--journal tracks one spec; run suites without it");
 
   install_signal_handlers();
   options.cancel = &g_interrupted;
@@ -211,11 +201,10 @@ int cmd_run(const std::vector<std::string>& names, const CliParser& cli) {
                     format_grouped(run.wall_seconds, 2) + " s wall\n";
     summary.outcome_counts =
         std::to_string(run.units_failed) + " units failed, " +
-        std::to_string(run.units_retried) + " retries, " +
         std::to_string(run.cells_failed) + " cells failed, " +
         std::to_string(run.cells_skipped) + " cells skipped, " +
         std::to_string(run.cells_resumed) + " cells resumed";
-    summary.show_outcome = run.units_retried > 0 || run.cells_resumed > 0;
+    summary.show_outcome = run.cells_resumed > 0;
     summary.csv = cli.get_flag("csv");
     if (!out_path.empty()) {
       summary.out_path =
@@ -289,28 +278,21 @@ int main(int argc, char** argv) {
   cli.add_double("tolerance", -1.0,
                  "compare gate in percent (negative = baseline's own)");
   cli.add_flag("csv", "emit CSV instead of ASCII tables");
-  cli.add_int("retries", 0,
-              "retries per failed (cell, replication) unit; retried units "
-              "re-run with their original seed");
   cli.add_double("failure-budget", 100.0,
                  "percent of units allowed to fail before the run aborts "
                  "(0 = strict: rethrow the first failure)");
   cli.add_string("journal", "",
-                 "checkpoint journal: completed cells are flushed here "
-                 "crash-safely as they finish");
-  cli.add_string("resume", "",
-                 "resume from a checkpoint journal (reruns only unfinished "
-                 "cells; bit-identical to an uninterrupted run)");
-  cli.add_double("unit-deadline", 0.0,
-                 "per-unit wall-clock deadline in seconds; overrunning "
-                 "units are recorded as timeout failures (0 = off)");
+                 "checkpoint journal: finished cells are flushed here "
+                 "crash-safely, and a re-run with the same journal runs only "
+                 "the unfinished ones (bit-identical to an uninterrupted "
+                 "run)");
   cli.add_int("unit-sleep-ms", 0,
               "test aid: artificial per-unit latency in milliseconds "
               "(never changes results)");
   cli.add_int("workers", 0,
-              "worker *processes* for run (0 = off): shards cells across "
-              "forked workers with crash-tolerant supervision; the merged "
-              "manifest is byte-identical to --jobs 1");
+              "worker *processes* for run (0 = off, at most one per cell): "
+              "shards cells across forked workers with crash-tolerant "
+              "supervision; the merged manifest is byte-identical to --jobs 1");
   cli.add_string("shard-dir", "",
                  "per-shard journal directory for --workers (default "
                  "<spec>.shards)");

@@ -46,7 +46,10 @@ std::string shard_journal_path(const std::string& shard_dir,
 }
 
 /// The worker process body: run the engine serially over this shard,
-/// resuming from and journaling into the shard journal, heartbeating.
+/// resuming from and journaling into the shard journal, heartbeating.  A
+/// shard journal left by another sweep or build is ignored and overwritten
+/// (engine contract), so a re-run with new overrides in the same shard dir
+/// just recomputes.
 int worker_main(const FrameWriter& writer, const SweepSpec& spec,
                 const EngineOptions& engine,
                 const std::vector<std::size_t>& subset,
@@ -64,8 +67,7 @@ int worker_main(const FrameWriter& writer, const SweepSpec& spec,
   EngineOptions options = engine;
   options.jobs = 1;  // the parallelism IS the process fan-out
   options.cell_subset = &subset;
-  options.journal_path = journal_path;
-  options.resume_journal = journal_path;  // missing file == empty journal
+  options.journal_path = journal_path;  // missing file == empty journal
   // Workers never abort on failures: every failed cell is journaled for
   // the coordinator, which owns the run-level budget decision.
   options.failure_budget_pct = 100.0;
@@ -108,10 +110,13 @@ struct WorkerSlot {
   bool live() const { return !done && !interrupted && !dead; }
 };
 
-/// `ok` cells already journaled by a shard (used to size reassignments).
-std::size_t journaled_ok_cells(const std::string& path) {
+/// `ok` cells of this sweep already journaled by a shard (used to size
+/// reassignments).
+std::size_t journaled_ok_cells(const std::string& path,
+                               const std::string& spec_hash) {
   try {
-    if (std::optional<Journal> journal = load_journal(path)) {
+    std::optional<Journal> journal = load_journal(path);
+    if (journal && journal->spec_hash == spec_hash) {
       std::size_t ok = 0;
       for (const ManifestCell& cell : journal->cells) {
         if (cell.status == CellStatus::kOk) ++ok;
@@ -119,8 +124,8 @@ std::size_t journaled_ok_cells(const std::string& path) {
       return ok;
     }
   } catch (const PreconditionError&) {
-    // Unusable journal (foreign or corrupt header): the replacement
-    // worker will fail on it too — but that is *its* triage to report.
+    // Corrupt header: the replacement worker will fail on it too — but
+    // that is *its* triage to report.
   }
   return 0;
 }
@@ -175,7 +180,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
   GT_REQUIRE(options.workers >= 1, "need at least one worker");
   GT_REQUIRE(!options.shard_dir.empty(),
              "supervised runs need a shard directory");
-  GT_REQUIRE(engine.journal_path.empty() && engine.resume_journal.empty(),
+  GT_REQUIRE(engine.journal_path.empty(),
              "supervised runs own their journals; use --shard-dir");
   GT_REQUIRE(spec.run != nullptr, "spec \"" + spec.name + "\" has no runner");
   for (const chaos::WorkerFaultPlan& plan : options.fault_plans) {
@@ -195,10 +200,15 @@ SupervisorRun run_supervised(const SweepSpec& spec,
 
   SupervisorRun run;
   run.cells = cells.size();
+  // No worker for an empty shard: a spec with fewer cells than --workers
+  // forks one worker per cell.
+  run.workers = std::min(options.workers, cells.size());
+  const std::string spec_hash =
+      manifest_header(spec, seed, replications).spec_hash;
 
-  std::vector<WorkerSlot> slots(options.workers);
+  std::vector<WorkerSlot> slots(run.workers);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    slots[i % options.workers].subset.push_back(i);
+    slots[i % run.workers].subset.push_back(i);
   }
 
   const auto fault_plan_for =
@@ -238,7 +248,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
     kWorkersSpawned.add();
   };
 
-  for (std::size_t w = 0; w < options.workers; ++w) spawn(w);
+  for (std::size_t w = 0; w < run.workers; ++w) spawn(w);
 
   // Every frame is a heartbeat: its arrival (not its content) is what
   // refreshes the slot's deadline.
@@ -249,7 +259,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
   };
 
   // A lost worker (abnormal exit or hang) lands here: transient classes
-  // respawn with seeded backoff until the slot's budget runs out, then the
+  // respawn after a backoff until the slot's budget runs out, then the
   // shard's remaining cells are surrendered to the merge as failures.
   const auto triage = [&](std::size_t w, ErrorClass error_class,
                           const std::string& reason) {
@@ -259,13 +269,13 @@ SupervisorRun run_supervised(const SweepSpec& spec,
     log_warn("worker ", w, " lost (", to_string(error_class), "): ", reason);
     if (is_transient(error_class) && slot.respawns < options.max_respawns) {
       ++slot.respawns;
-      const std::uint64_t backoff = options.respawn_backoff.backoff_ms(
-          slot.respawns, error_class, seed ^ (0x51ed270b9f112a5dULL * w));
+      const std::uint64_t backoff =
+          options.respawn_backoff.backoff_ms(slot.respawns, error_class);
       if (backoff > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       }
-      const std::size_t already_ok =
-          journaled_ok_cells(shard_journal_path(options.shard_dir, w));
+      const std::size_t already_ok = journaled_ok_cells(
+          shard_journal_path(options.shard_dir, w), spec_hash);
       const std::size_t remaining =
           slot.subset.size() - std::min(already_ok, slot.subset.size());
       run.counters.cells_reassigned += remaining;
@@ -370,7 +380,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
                          options.cancel->load(std::memory_order_relaxed);
   bool any_skipped = false;
   for (const std::size_t i : merge.missing) {
-    WorkerSlot& slot = slots[i % options.workers];
+    WorkerSlot& slot = slots[i % run.workers];
     ManifestCell& cell = run.manifest.cells[i];
     if (slot.interrupted || (cancelled && !slot.dead)) {
       any_skipped = true;
@@ -380,7 +390,7 @@ SupervisorRun run_supervised(const SweepSpec& spec,
     failure.rep = replications;  // sentinel: the whole cell was lost
     failure.seed = seed;
     failure.error_class = slot.dead ? slot.death_class : ErrorClass::kUnknown;
-    failure.message = "worker " + std::to_string(i % options.workers) +
+    failure.message = "worker " + std::to_string(i % run.workers) +
                       " died: " +
                       (slot.dead ? slot.death_reason : "shard incomplete");
     failure.attempts = slot.respawns + 1;

@@ -1,7 +1,8 @@
 // Crash-tolerant multi-process shard supervisor for the sweep engine.
 //
 // `run_supervised` partitions a sweep's grid across forked worker
-// processes (round-robin: cell i -> shard i % workers).  Each worker runs
+// processes (round-robin: cell i -> shard i % workers, with no more
+// workers than cells).  Each worker runs
 // the ordinary in-process engine over its shard with a private checkpoint
 // journal that records every finalized cell, ok or failed, and sends only
 // heartbeats over a length-prefixed pipe (common/subprocess); the
@@ -40,11 +41,15 @@ namespace gridtrust::lab {
 /// *numbers* — they decide how worker-process death is handled around the
 /// deterministic per-unit computation.
 struct SupervisorOptions {
-  /// Worker processes (>= 1).  Cells partition round-robin across them.
+  /// Worker processes (>= 1).  Cells partition round-robin across them; a
+  /// spec with fewer cells forks one worker per cell (a fault plan aimed at
+  /// a worker beyond that count never fires).
   std::size_t workers = 2;
   /// Directory for per-shard checkpoint journals (`shard-<w>.journal`);
   /// created if missing.  Required: the journals are the crash-recovery
-  /// substrate, so there is no journal-less supervised mode.
+  /// substrate, so there is no journal-less supervised mode.  A re-run in
+  /// the same directory resumes the `ok` cells of journals from the same
+  /// sweep and build and overwrites any other journal.
   std::string shard_dir;
   /// Workers emit a heartbeat frame at most this often (gated on unit
   /// completion, so a healthy-but-busy worker heartbeats at unit cadence).
@@ -56,9 +61,7 @@ struct SupervisorOptions {
   /// surrendered as failures.  Only transient classes (resource, timeout,
   /// unknown) respawn at all — a deterministic class would die identically.
   std::size_t max_respawns = 3;
-  /// Backoff schedule between respawns of one slot (max_attempts unused);
-  /// jitter is seeded per (slot, attempt) so storms de-synchronize
-  /// deterministically.
+  /// Backoff schedule between respawns of one slot.
   RetryPolicy respawn_backoff;
   /// Process-level chaos: scripted worker suicides (see chaos::
   /// WorkerFaultPlan) that exercise this module's own recovery path.
@@ -86,18 +89,19 @@ struct SupervisorRun {
   Manifest manifest;
   SupervisorCounters counters;
   std::size_t cells = 0;
+  std::size_t workers = 0;  ///< min(options.workers, cells)
   std::size_t cells_failed = 0;
   double wall_seconds = 0.0;
 };
 
 /// Runs the sweep under process supervision.  `engine` supplies the
 /// numeric identity (seed, replications) and per-unit policies, which are
-/// inherited by every worker; `engine.jobs/pool` are ignored (workers run
+/// inherited by every worker; `engine.jobs` is ignored (workers run
 /// serially — the parallelism *is* the process fan-out) and
-/// `engine.journal_path`/`resume_journal` must be empty (shards own their
-/// journals).  Throws PreconditionError on invalid options and rethrows
-/// the first failure as std::runtime_error when the failure budget is
-/// exceeded, after every salvageable shard has been merged.
+/// `engine.journal_path` must be empty (shards own their journals).
+/// Throws PreconditionError on invalid options and rethrows the first
+/// failure as std::runtime_error when the failure budget is exceeded,
+/// after every salvageable shard has been merged.
 SupervisorRun run_supervised(const SweepSpec& spec,
                              const EngineOptions& engine,
                              const SupervisorOptions& options);

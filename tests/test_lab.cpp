@@ -1,18 +1,16 @@
 // Lab sweep engine: grid expansion, seed derivation, parallel determinism,
-// fault containment and retry, checkpoint/resume (including the journal
-// record-selection rules and the build guard), manifest round-trips, and
-// baseline comparison gates.
+// fault containment, checkpoint/resume (including the journal
+// record-selection rules and the sweep and build guards), manifest
+// round-trips, and baseline comparison gates.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/fs.hpp"
@@ -241,7 +239,7 @@ TEST(CatalogTest, SmokeSpecMatchesItsCommittedBaselineShape) {
   }
 }
 
-// ------------------------------------------------ fault containment / retry
+// ------------------------------------------------ fault containment
 
 /// Runner failing on a fixed (cell predicate, rep set).  Rep is recovered
 /// by matching the derived seed, so the failure is a pure function of the
@@ -324,88 +322,6 @@ TEST(ContainmentTest, ExceededBudgetRethrows) {
                PreconditionError);
 }
 
-TEST(RetryTest, ExhaustionRecordsAttemptsAndDowngradesToPartial) {
-  EngineOptions options;
-  options.failure_budget_pct = 50.0;
-  options.retry.max_attempts = 3;
-  options.retry.backoff_initial_ms = 0;  // deterministic class: no sleep
-  const SweepRun run = run_sweep(failing_spec({1}), options);
-  EXPECT_EQ(run.manifest.outcome, RunOutcome::kPartial);
-  EXPECT_EQ(run.units_failed, 2u);
-  // Each doomed unit consumed all three attempts → two retries apiece.
-  EXPECT_EQ(run.units_retried, 4u);
-  for (const ManifestCell& cell : run.manifest.cells) {
-    for (const UnitFailure& failure : cell.failures) {
-      EXPECT_EQ(failure.attempts, 3u);
-    }
-  }
-}
-
-TEST(RetryTest, TransientFailureSucceedsOnRetryWithTheSameSeed) {
-  // Shared state is test-only: a "flaky" runner that fails its first two
-  // calls for the alpha=1/rep=0 unit, then succeeds.
-  auto flaky_remaining = std::make_shared<std::atomic<int>>(2);
-  SweepSpec spec = tiny_spec();
-  spec.finalize = nullptr;
-  auto seen_seeds = std::make_shared<std::vector<std::uint64_t>>();
-  spec.run = [flaky_remaining, seen_seeds](const Cell& cell,
-                                           std::uint64_t rep_seed) {
-    if (cell.number("alpha") == 1.0 && cell.text("mode") == "fast" &&
-        rep_seed == derive_rep_seed(99, cell_param_hash(cell), 0)) {
-      seen_seeds->push_back(rep_seed);
-      if (flaky_remaining->fetch_sub(1) > 0) {
-        throw std::runtime_error("transient glitch");
-      }
-    }
-    obs::RunReport report;
-    report.set("value", cell.number("alpha"));
-    return report;
-  };
-
-  EngineOptions options;
-  options.jobs = 1;
-  options.retry.max_attempts = 3;
-  options.retry.backoff_initial_ms = 1;
-  const SweepRun run = run_sweep(spec, options);
-  EXPECT_EQ(run.manifest.outcome, RunOutcome::kComplete);
-  EXPECT_EQ(run.units_failed, 0u);
-  EXPECT_EQ(run.units_retried, 2u);
-  // Seed-preserving re-run: all three attempts saw the identical seed.
-  ASSERT_EQ(seen_seeds->size(), 3u);
-  EXPECT_EQ((*seen_seeds)[0], (*seen_seeds)[1]);
-  EXPECT_EQ((*seen_seeds)[1], (*seen_seeds)[2]);
-  for (const ManifestCell& cell : run.manifest.cells) {
-    EXPECT_EQ(cell.status, CellStatus::kOk);
-  }
-}
-
-TEST(DeadlineTest, OverrunningUnitsAreMarkedTimeoutInsteadOfHanging) {
-  SweepSpec spec = tiny_spec();
-  spec.finalize = nullptr;
-  spec.axes = {{"alpha", {1}}, {"mode", {"fast"}}};
-  spec.replications = 2;
-  spec.run = [](const Cell& cell, std::uint64_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    obs::RunReport report;
-    report.set("value", cell.number("alpha"));
-    return report;
-  };
-  EngineOptions options;
-  options.failure_budget_pct = 100.0;
-  options.unit_deadline_seconds = 0.001;
-  const SweepRun run = run_sweep(spec, options);
-  EXPECT_EQ(run.manifest.outcome, RunOutcome::kPartial);
-  ASSERT_EQ(run.manifest.cells.size(), 1u);
-  const ManifestCell& cell = run.manifest.cells[0];
-  EXPECT_EQ(cell.status, CellStatus::kFailed);
-  ASSERT_EQ(cell.failures.size(), 2u);
-  for (const UnitFailure& failure : cell.failures) {
-    EXPECT_EQ(failure.error_class, ErrorClass::kTimeout);
-    EXPECT_NE(failure.message.find("deadline"), std::string::npos);
-  }
-  EXPECT_TRUE(cell.metrics.empty());  // overrun results are discarded
-}
-
 // ------------------------------------------------ journal / resume
 
 TEST(JournalTest, RoundTripsAndToleratesTornTail) {
@@ -482,7 +398,7 @@ TEST(JournalTest, DuplicateCellEntriesLastWinOnResume) {
 
   EngineOptions resume_options;
   resume_options.jobs = 1;
-  resume_options.resume_journal = journal_path;
+  resume_options.journal_path = journal_path;
   const SweepRun resumed = run_sweep(tiny_spec(), resume_options);
   EXPECT_EQ(resumed.cells_resumed, 6u);  // unique cells, not records
   EXPECT_EQ(resumed.units_run, 0u);
@@ -514,7 +430,7 @@ TEST(JournalTest, TwoShardsJournalingTheSameCellHashResumeByteIdentical) {
 
   EngineOptions resume_options;
   resume_options.jobs = 1;
-  resume_options.resume_journal = path_a;
+  resume_options.journal_path = path_a;
   const SweepRun resumed = run_sweep(tiny_spec(), resume_options);
   EXPECT_EQ(resumed.cells_resumed, 6u);
   EXPECT_EQ(resumed.units_run, 0u);
@@ -568,7 +484,7 @@ TEST(JournalTest, CancelledRunJournalsCompletedCellsAndResumeIsBitIdentical) {
   // manifest is byte-identical to the uninterrupted reference.
   EngineOptions resume_options;
   resume_options.jobs = 1;
-  resume_options.resume_journal = journal_path;
+  resume_options.journal_path = journal_path;
   const SweepRun resumed = run_sweep(tiny_spec(), resume_options);
   EXPECT_EQ(resumed.cells_resumed, journal->cells.size());
   EXPECT_EQ(resumed.units_run,
@@ -577,7 +493,9 @@ TEST(JournalTest, CancelledRunJournalsCompletedCellsAndResumeIsBitIdentical) {
   EXPECT_EQ(to_json(resumed.manifest), reference);
 }
 
-TEST(JournalTest, ResumeRejectsAForeignSweep) {
+TEST(JournalTest, AForeignSweepsJournalIsIgnoredAndOverwritten) {
+  // A journal of another sweep (here: another master seed) resumes
+  // nothing: the whole grid runs and the journal then records this sweep.
   const std::string dir = temp_dir("resume_mismatch");
   std::filesystem::create_directories(dir);
   const std::string journal_path = dir + "/sweep.journal";
@@ -587,14 +505,36 @@ TEST(JournalTest, ResumeRejectsAForeignSweep) {
 
   SweepSpec reseeded = tiny_spec();
   reseeded.seed = 1234;  // different content hash → different sweep
-  EngineOptions resume_options;
-  resume_options.resume_journal = journal_path;
-  EXPECT_THROW((void)run_sweep(reseeded, resume_options), PreconditionError);
+  const SweepRun run = run_sweep(reseeded, options);
+  EXPECT_EQ(run.cells_resumed, 0u);
+  EXPECT_EQ(run.units_run, 24u);
+  EXPECT_EQ(run.manifest.outcome, RunOutcome::kComplete);
+  EXPECT_EQ(to_json(run.manifest), to_json(run_sweep(reseeded).manifest));
+  const Journal rewritten = *load_journal(journal_path);
+  EXPECT_EQ(rewritten.spec_hash, run.manifest.spec_hash);
+  EXPECT_EQ(rewritten.seed, 1234u);
+  EXPECT_EQ(rewritten.cells.size(), 6u);
+}
+
+TEST(JournalTest, ANonJournalFileFailsAndStaysByteUnchanged) {
+  // A journal path that names some other file is a usage error: the run
+  // fails before it writes anything, so the file survives intact.
+  const std::string dir = temp_dir("resume_not_a_journal");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/notes.txt";
+  const std::string content = "results of the 2002 grid runs\nkeep me\n";
+  atomic_write_file(path, content);
+  EngineOptions options;
+  options.journal_path = path;
+  EXPECT_THROW((void)run_sweep(tiny_spec(), options), PreconditionError);
+  EXPECT_EQ(read_file(path), content);
 }
 
 TEST(JournalTest, ResumeFromMissingJournalRunsTheFullSweep) {
+  const std::string dir = temp_dir("no_such");
+  std::filesystem::create_directories(dir);
   EngineOptions options;
-  options.resume_journal = temp_dir("no_such") + "/gone.journal";
+  options.journal_path = dir + "/gone.journal";
   const SweepRun run = run_sweep(tiny_spec(), options);
   EXPECT_EQ(run.cells_resumed, 0u);
   EXPECT_EQ(run.units_run, 24u);
@@ -624,8 +564,7 @@ TEST(JournalTest, FailedCellsRerunOnResume) {
   // clean run of that fixed spec.
   SweepSpec fixed = failing_spec({});  // same grid/hash inputs, no failures
   EngineOptions resume_options;
-  resume_options.resume_journal = journal_path;
-  resume_options.journal_path = journal_path;  // as the CLI's --resume does
+  resume_options.journal_path = journal_path;
   const SweepRun resumed = run_sweep(fixed, resume_options);
   EXPECT_EQ(resumed.cells_resumed, 4u);
   EXPECT_EQ(resumed.units_run, 8u);
@@ -654,7 +593,6 @@ TEST(JournalTest, FailedRecordStaysUntilTheRerunReplacesIt) {
   std::atomic<bool> cancel{true};  // nothing new runs
   EngineOptions resume_options;
   resume_options.failure_budget_pct = 50.0;
-  resume_options.resume_journal = journal_path;
   resume_options.journal_path = journal_path;
   resume_options.cancel = &cancel;
   const SweepRun drained = run_sweep(failing_spec({0}), resume_options);
@@ -735,7 +673,6 @@ TEST(JournalTest, AnotherBuildsJournalResumesNothing) {
 
     EngineOptions resume_options;
     resume_options.jobs = 1;
-    resume_options.resume_journal = journal_path;
     resume_options.journal_path = journal_path;
     const SweepRun resumed = run_sweep(tiny_spec(), resume_options);
     EXPECT_EQ(resumed.cells_resumed, 0u);
@@ -751,8 +688,6 @@ TEST(JournalTest, AnotherBuildsJournalResumesNothing) {
 TEST(ManifestV2Test, FailureRecordsRoundTripByteForByte) {
   EngineOptions options;
   options.failure_budget_pct = 50.0;
-  options.retry.max_attempts = 2;
-  options.retry.backoff_initial_ms = 0;
   const Manifest manifest = run_sweep(failing_spec({0}), options).manifest;
   EXPECT_EQ(manifest.outcome, RunOutcome::kPartial);
   const std::string json = to_json(manifest);

@@ -232,11 +232,53 @@ TEST(SupervisorTest, SupervisedRunIsByteIdenticalToSingleProcess) {
   EXPECT_EQ(to_json(run.manifest), reference);
   EXPECT_EQ(run.manifest.outcome, RunOutcome::kComplete);
   EXPECT_EQ(run.cells, 6u);
+  EXPECT_EQ(run.workers, 3u);
   EXPECT_EQ(run.cells_failed, 0u);
   EXPECT_EQ(run.counters.workers_spawned, 3u);
   EXPECT_EQ(run.counters.workers_lost, 0u);
   EXPECT_EQ(run.counters.workers_respawned, 0u);
   EXPECT_EQ(run.counters.cells_reassigned, 0u);
+}
+
+TEST(SupervisorTest, RerunsWithNewOverridesInOneShardDirRecompute) {
+  // The shard journals of an earlier sweep (other replications, other
+  // seed) are ignored and overwritten: every later run completes without
+  // losing a worker and matches a --jobs 1 run with the same overrides.
+  const SweepSpec spec = tiny_spec();
+  const std::string shard_dir = temp_dir("rerun");
+  std::vector<EngineOptions> runs(3);
+  runs[1].replications = 3;
+  runs[2].replications = 3;
+  runs[2].seed = 7;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    SupervisorOptions sup;
+    sup.workers = 2;
+    sup.shard_dir = shard_dir;
+    const SupervisorRun run = run_supervised(spec, runs[r], sup);
+    EngineOptions serial = runs[r];
+    serial.jobs = 1;
+    EXPECT_EQ(to_json(run.manifest), to_json(run_sweep(spec, serial).manifest))
+        << "run " << r;
+    EXPECT_EQ(run.manifest.outcome, RunOutcome::kComplete) << "run " << r;
+    EXPECT_EQ(run.counters.workers_lost, 0u) << "run " << r;
+  }
+}
+
+TEST(SupervisorTest, NoWorkerForkedForAnEmptyShard) {
+  SweepSpec spec = tiny_spec();
+  spec.axes = {{"alpha", {2}}, {"mode", {"slow"}}};  // one cell
+  EngineOptions serial;
+  serial.jobs = 1;
+  const std::string reference = to_json(run_sweep(spec, serial).manifest);
+
+  SupervisorOptions sup;
+  sup.workers = 3;
+  sup.shard_dir = temp_dir("one_cell");
+  const SupervisorRun run = run_supervised(spec, EngineOptions{}, sup);
+  EXPECT_EQ(to_json(run.manifest), reference);
+  EXPECT_EQ(run.workers, 1u);
+  EXPECT_EQ(run.counters.workers_spawned, 1u);
+  EXPECT_FALSE(std::filesystem::exists(sup.shard_dir + "/shard-1.journal"));
 }
 
 TEST(SupervisorTest, SigkilledWorkerResumesFromItsShardJournalByteIdentical) {
@@ -347,7 +389,7 @@ TEST(SupervisorTest, HeartbeatTimeoutTriagesAHungWorker) {
 }
 
 TEST(SupervisorTest, NonzeroExitTriagesDeterministicallyWithoutRespawn) {
-  // A corrupt shard journal makes worker 0's resume throw a
+  // A corrupt shard journal makes worker 0's engine throw a
   // PreconditionError, which travels back as classified exit code
   // 64 + precondition.  Deterministic class: no respawn is attempted even
   // though the budget would allow three.
